@@ -8,6 +8,10 @@ grid-of-scenarios pattern:
     AMVA / MVASD population recursion at once — demand stacks of shape
     ``(S, K)`` or ``(S, N, K)``, per-level work amortized over the whole
     grid.  Results match the scalar solvers to 1e-10.
+``repro.engine.native``
+    Lazy cffi loader of ``_mvasd.c``, the compiled population recursion
+    behind :func:`batched_mvasd` (bit-identical to its NumPy loop, which
+    remains the fallback on hosts without a C compiler).
 ``repro.engine.sweep``
     Fork-join execution of independent tasks (DES replications,
     pipeline validations, what-if solves): :class:`ScenarioGrid`

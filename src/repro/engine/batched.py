@@ -38,6 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import native
 from ..core.multiclass import MultiClassResult
 from ..core.multiclass_amva import MultiClassTrajectory
 from ..core.mvasd import DemandFn, precompute_demand_matrix
@@ -636,7 +637,38 @@ def batched_mvasd(
     known before the recursion); for the Section-7 throughput-axis fixed
     point use the scalar :func:`~repro.core.mvasd.mvasd` per scenario.
     Marginal-probability histories are not recorded in batched mode.
+
+    The population recursion runs in the compiled kernel of
+    :mod:`repro.engine.native` when it can be built, and in NumPy
+    otherwise; both compute the same bits.
     """
+    return _batched_mvasd(
+        network, max_population, demand_matrices, single_server, think_times, mask,
+        native.mvasd_kernel(),
+    )
+
+
+def _batched_mvasd_numpy(
+    network: ClosedNetwork,
+    max_population: int,
+    demand_matrices,
+    single_server: bool = False,
+    think_times=None,
+    mask=None,
+) -> BatchedMVAResult:
+    """:func:`batched_mvasd` through the NumPy recursion.
+
+    The reference the native kernel is held bit-identical to, and the
+    path taken on hosts where the kernel cannot be built.
+    """
+    return _batched_mvasd(
+        network, max_population, demand_matrices, single_server, think_times, mask, None
+    )
+
+
+def _batched_mvasd(
+    network, max_population, demand_matrices, single_server, think_times, mask, kernel
+) -> BatchedMVAResult:
     if max_population < 1:
         raise ValueError(f"max_population must be >= 1, got {max_population}")
     matrices = np.asarray(demand_matrices, dtype=float)
@@ -662,6 +694,73 @@ def batched_mvasd(
         raise ValueError("demand matrices must be non-negative")
     s = matrices.shape[0]
     z = _think_stack(network, think_times, s, mask=mask)
+
+    if kernel is None:
+        levels = _mvasd_levels_numpy(network, matrices, z, single_server)
+    else:
+        levels = _mvasd_levels_native(kernel, network, matrices, z, single_server)
+    xs, rs, qs, rks, utils = levels
+
+    if mask is not None:
+        _nan_rows(mask, xs, rs, qs, rks, utils, matrices)
+    solver = "batched-mvasd-single-server" if single_server else "batched-mvasd"
+    return BatchedMVAResult(
+        populations=np.arange(1, max_population + 1),
+        throughput=xs,
+        response_time=rs,
+        queue_lengths=qs,
+        residence_times=rks,
+        utilizations=utils,
+        station_names=network.station_names,
+        think_times=z,
+        solver=solver,
+        demands_used=matrices,
+    )
+
+
+def _mvasd_levels_native(kernel, network, matrices, z, single_server):
+    """The MVASD recursion in one call of the compiled ``mvasd_recursion``.
+
+    Takes and returns the arrays of :func:`_mvasd_levels_numpy`; the C
+    routine performs the same floating-point operations in the same
+    order, scenario by scenario (see ``_mvasd.c``).
+    """
+    s, n_levels, k = matrices.shape
+    servers = network.servers().astype(float)
+    is_queue = np.array([st.kind == "queue" for st in network.stations], dtype=np.int8)
+    js = np.arange(1, n_levels + 1, dtype=float)
+    # The per-job residence weights of _BatchedMultiServerState, per station.
+    weights = js / np.minimum(js, servers[:, None])
+    demands = np.ascontiguousarray(matrices)
+    think = np.ascontiguousarray(z, dtype=float)
+    xs = np.empty((s, n_levels))
+    rs = np.empty((s, n_levels))
+    qs = np.empty((s, n_levels, k))
+    rks = np.empty((s, n_levels, k))
+    utils = np.empty((s, n_levels, k))
+
+    buf = kernel.ffi.from_buffer
+    kernel.lib.mvasd_recursion(
+        s, n_levels, k,
+        buf("double[]", demands), buf("double[]", think),
+        buf("double[]", servers), buf("int8_t[]", is_queue),
+        int(bool(single_server)), buf("double[]", weights),
+        buf("double[]", np.empty((k, n_levels + 1)), require_writable=True),
+        buf("double[]", np.empty(k), require_writable=True),
+        buf("double[]", np.empty(k), require_writable=True),
+        *(buf("double[]", out, require_writable=True) for out in (xs, rs, qs, rks, utils)),
+    )
+    return xs, rs, qs, rks, utils
+
+
+def _mvasd_levels_numpy(network, matrices, z, single_server):
+    """The MVASD population recursion over all scenarios, level by level.
+
+    Returns ``(xs, rs, qs, rks, utils)``: throughput and response time
+    ``(S, N)``, queue lengths, residence times and utilizations
+    ``(S, N, K)``.
+    """
+    s, n_levels, k = matrices.shape
     stations = network.stations
     servers = network.servers().astype(float)
 
@@ -669,15 +768,14 @@ def batched_mvasd(
         None
         if single_server
         else [
-            _BatchedMultiServerState(st.servers, max_population, s)
+            _BatchedMultiServerState(st.servers, n_levels, s)
             if st.kind == "queue"
             else None
             for st in stations
         ]
     )
 
-    pops = np.arange(1, max_population + 1)
-    n_levels = max_population
+    pops = np.arange(1, n_levels + 1)
     xs = np.empty((s, n_levels))
     rs = np.empty((s, n_levels))
     qs = np.empty((s, n_levels, k))
@@ -709,22 +807,7 @@ def batched_mvasd(
         qs[:, i] = q
         rks[:, i] = r_k
         utils[:, i] = x[:, None] * d / servers
-
-    if mask is not None:
-        _nan_rows(mask, xs, rs, qs, rks, utils, matrices)
-    solver = "batched-mvasd-single-server" if single_server else "batched-mvasd"
-    return BatchedMVAResult(
-        populations=pops,
-        throughput=xs,
-        response_time=rs,
-        queue_lengths=qs,
-        residence_times=rks,
-        utilizations=utils,
-        station_names=network.station_names,
-        think_times=z,
-        solver=solver,
-        demands_used=matrices,
-    )
+    return xs, rs, qs, rks, utils
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,9 @@ class ServeClient:
 
         A socket timeout leaves any partial line in ``_rbuf``, so a later
         read resumes exactly where the stream stopped — no bytes lost, no
-        desynchronization.
+        desynchronization.  EOF between lines returns ``b""``; EOF inside a
+        line raises :class:`ConnectionError` (a truncated reply is never
+        handed to the JSON decoder).
         """
         while True:
             newline = self._rbuf.find(b"\n")
@@ -134,10 +136,15 @@ class ServeClient:
                 del self._rbuf[: newline + 1]
                 return line
             chunk = self._sock.recv(65536)
-            if not chunk:  # EOF mid-line: surface whatever arrived
-                line = bytes(self._rbuf)
-                self._rbuf.clear()
-                return line
+            if not chunk:
+                if self._rbuf:
+                    partial = len(self._rbuf)
+                    self._rbuf.clear()
+                    raise ConnectionError(
+                        f"server closed the connection mid-reply "
+                        f"({partial} bytes of an unterminated line)"
+                    )
+                return b""
             self._rbuf.extend(chunk)
 
     def call(self, op: str, **payload: Any):

@@ -202,6 +202,10 @@ class SolverServer:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        # With a zero high-water mark drain() returns only once the write
+        # buffer is empty, so a request stays active (and holds off a
+        # graceful drain's shutdown) until its whole reply has left.
+        writer.transport.set_write_buffer_limits(high=0)
         try:
             while True:
                 try:

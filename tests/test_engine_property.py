@@ -17,15 +17,17 @@ from repro.engine import (
     batched_exact_mva,
     batched_mvasd,
     batched_schweitzer_amva,
+    native,
     parallel_map,
     spawn_seeds,
 )
+from repro.engine.batched import _batched_mvasd_numpy
 
 TOL = 1e-10
 
 
 @st.composite
-def networks(draw, max_stations=4, multiserver=False):
+def networks(draw, max_stations=4, multiserver=False, max_servers=4):
     k = draw(st.integers(min_value=1, max_value=max_stations))
     kinds = draw(
         st.lists(
@@ -39,7 +41,7 @@ def networks(draw, max_stations=4, multiserver=False):
     stations = []
     for i, kind in enumerate(kinds):
         servers = (
-            draw(st.integers(min_value=1, max_value=4))
+            draw(st.integers(min_value=1, max_value=max_servers))
             if multiserver and kind == "queue"
             else 1
         )
@@ -60,6 +62,61 @@ def demand_stacks(k, max_scenarios=5):
         min_size=1,
         max_size=max_scenarios,
     ).map(np.array)
+
+
+MVASD_FIELDS = ("throughput", "response_time", "queue_lengths", "residence_times", "utilizations")
+
+
+@given(
+    data=st.data(),
+    # Crosses every block boundary of NumPy's pairwise summation: plain
+    # accumulation below 8, 8 accumulators up to 128, halving above.
+    population=st.sampled_from([1, 7, 8, 9, 16, 127, 128, 129, 136, 300, 1000]),
+    single_server=st.booleans(),
+    load=st.floats(min_value=1e-3, max_value=2.0),
+    layout=st.sampled_from(["contiguous", "read-only", "strided", "fortran"]),
+    masked=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_native_mvasd_bit_identical_to_numpy(
+    data, population, single_server, load, layout, masked, seed
+):
+    """The compiled recursion reproduces the NumPy loop bit for bit."""
+    if native.mvasd_kernel() is None:
+        pytest.skip("the native MVASD kernel cannot be built on this host")
+    net = data.draw(networks(multiserver=True, max_servers=16))
+    k = len(net)
+    s = data.draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(seed)
+    # Demands scale with the server count, so load >~ 0.1 saturates the
+    # stations at these populations and the p(0) = max(0, ...) clamp fires.
+    servers = net.servers().astype(float)
+    matrices = load * servers * rng.uniform(0.5, 1.5, size=(s, population, k)) / 10.0
+    mask = None
+    if masked:
+        mask = rng.random(s) < 0.6
+        matrices[~mask] = np.nan  # masked rows may carry garbage
+    if layout == "read-only":
+        matrices.flags.writeable = False
+    elif layout == "strided":
+        wide = np.zeros((s, population, 2 * k))
+        wide[:, :, ::2] = matrices
+        matrices = wide[:, :, ::2]
+    elif layout == "fortran":
+        matrices = np.asfortranarray(matrices)
+    think = rng.uniform(0.0, 2.0, size=s)
+
+    fast = batched_mvasd(
+        net, population, matrices, single_server=single_server, think_times=think, mask=mask
+    )
+    ref = _batched_mvasd_numpy(
+        net, population, matrices, single_server=single_server, think_times=think, mask=mask
+    )
+    assert fast.solver == ref.solver
+    for field in MVASD_FIELDS:
+        assert np.array_equal(getattr(fast, field), getattr(ref, field), equal_nan=True), field
+    assert np.array_equal(fast.demands_used, ref.demands_used, equal_nan=True)
 
 
 @given(data=st.data(), population=st.integers(min_value=1, max_value=15))

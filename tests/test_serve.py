@@ -537,6 +537,23 @@ class TestClientCorrelation:
         finally:
             srv.close()
 
+    def test_eof_mid_line_raises_connection_error(self):
+        """A reply cut short by the peer closing must not reach json.loads."""
+
+        def handler(f):
+            request_id = json.loads(f.readline())["id"]
+            line = json.dumps({"ok": True, "id": request_id, "result": {}}).encode()
+            f.write(line[: len(line) // 2])  # half a line, then close
+            f.flush()
+
+        srv = _ScriptedServer(handler)
+        try:
+            with ServeClient(port=srv.port, timeout=5.0) as client:
+                with pytest.raises(ConnectionError, match="mid-reply"):
+                    client.request({"op": "ping"})
+        finally:
+            srv.close()
+
 
 # -- admission control and graceful drain --------------------------------------
 
@@ -616,7 +633,14 @@ class TestGracefulDrain:
 
         thread = threading.Thread(target=run_slow)
         thread.start()
-        time.sleep(0.5)  # in flight before the drain lands
+        # The drain must land while the solve is in flight: wait until the
+        # server reports it (or the request already failed, which the
+        # caller's assertions then report).
+        deadline = time.monotonic() + 60.0
+        with ServeClient(port=port, timeout=30.0) as client:
+            while client.health()["in_flight"] < 1:
+                assert thread.is_alive() and time.monotonic() < deadline, box
+                time.sleep(0.01)
         return thread
 
     def test_drain_op_finishes_inflight_and_exits_zero(self):
@@ -630,6 +654,35 @@ class TestGracefulDrain:
             thread.join(timeout=120.0)
             assert not thread.is_alive()
             assert box["slow"]["ok"] is True
+            assert proc.wait(timeout=60.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10.0)
+
+    def test_drain_delivers_a_reply_still_in_the_write_buffer(self):
+        """A drain that lands while a ~31 MB reply sits unread in the
+        server's write buffer must still deliver the whole line."""
+        proc, port = _start_server()
+        try:
+            with ServeClient(port=port, timeout=120.0) as reader:
+                # Send the solve but read nothing yet, so its reply backs up.
+                reader._file.write(json.dumps({**_slow_solve_request(), "id": 1}).encode() + b"\n")
+                reader._file.flush()
+                deadline = time.monotonic() + 120.0
+                with ServeClient(port=port, timeout=30.0) as control:
+                    # Solved (nothing admitted) yet still in flight: the
+                    # reply is being written.
+                    while True:
+                        h = control.health()
+                        if h["admitted"] == 0 and h["in_flight"] >= 1:
+                            break
+                        assert time.monotonic() < deadline, h
+                        time.sleep(0.01)
+                    assert control.drain()["draining"] is True
+                envelope = json.loads(reader._readline_bounded())
+            assert envelope["ok"] is True and envelope["id"] == 1
+            assert len(envelope["result"]["throughput"]) == 300_000
             assert proc.wait(timeout=60.0) == 0
         finally:
             if proc.poll() is None:
