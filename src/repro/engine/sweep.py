@@ -35,6 +35,14 @@ argument — it is published to a module global before the pool forks, so
 children inherit it through the process image instead of the pipe.  On
 platforms without ``fork`` the payload path transparently degrades to
 serial execution.
+
+Large results travel back without the pipe: the worker pickles its
+result with protocol 5, writes the out-of-band buffers (every contiguous
+NumPy array in it) into one file in a per-call spool directory — on
+``/dev/shm`` when it is writable — and returns only a small handle.  The
+parent reads the buffers back, unlinks the file and rebuilds the result,
+so the arrays arrive writable and bit-identical without crossing the
+pipe.
 """
 
 from __future__ import annotations
@@ -43,11 +51,15 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import shutil
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
+
+import numpy as np
 
 from ..simulation.rng import spawn_seeds
 
@@ -68,9 +80,93 @@ _INFRA_ERRORS = (
 _PAYLOAD: Any = None
 
 
-def _invoke(fn: Callable, item: Any):
-    """Worker-side trampoline: re-attach the fork-inherited payload."""
-    return fn(item, _PAYLOAD)
+@dataclass(frozen=True)
+class _SpooledResult:
+    """What a worker sends through the pipe in place of its result."""
+
+    meta: bytes              # the protocol-5 pickle, buffers left out
+    path: str | None         # spool file holding the buffers back to back
+    sizes: tuple[int, ...]   # byte length of each buffer, in pickle order
+
+
+def _invoke(fn: Callable, item: Any, spool: str | None):
+    """Worker-side trampoline: re-attach the fork-inherited payload.
+
+    A result holding out-of-band buffers is written to a file in
+    ``spool``; the pipe then carries only the pickled rest of it and the
+    file's name.  A result without such buffers (or one the spool cannot
+    take) goes back through the pipe whole.
+    """
+    result = fn(item, _PAYLOAD)
+    if spool is None:
+        return result
+    buffers: list[pickle.PickleBuffer] = []
+    meta = pickle.dumps(result, protocol=5, buffer_callback=buffers.append)
+    if not buffers:
+        return _SpooledResult(meta, None, ())
+    raws = [buf.raw() for buf in buffers]
+    path = None
+    try:
+        fd, path = tempfile.mkstemp(dir=spool)
+        with os.fdopen(fd, "wb") as out:
+            for raw in raws:
+                out.write(raw)
+    except OSError:  # e.g. the spool's filesystem is full
+        if path is not None:
+            os.unlink(path)
+        return result
+    return _SpooledResult(meta, path, tuple(raw.nbytes for raw in raws))
+
+
+def _receive(result: Any) -> Any:
+    """Parent side: rebuild a spooled result from its file.
+
+    Each buffer is read into a byte array of its own (left uninitialised,
+    so its pages are written once) and the file is unlinked at once: the
+    arrays are writable, own their memory and keep nothing of the spool
+    alive.  A missing or short file raises ``OSError``, which
+    :func:`parallel_map` treats as an infrastructure failure.
+    """
+    if not isinstance(result, _SpooledResult):
+        return result
+    buffers = [np.empty(size, dtype=np.uint8) for size in result.sizes]
+    if result.path is not None:
+        try:
+            with open(result.path, "rb") as spooled:
+                if os.fstat(spooled.fileno()).st_size != sum(result.sizes):
+                    raise OSError(f"spool file {result.path} is truncated")
+                for buf in buffers:
+                    spooled.readinto(buf)
+        finally:
+            try:
+                os.unlink(result.path)
+            except OSError:
+                pass
+    return pickle.loads(result.meta, buffers=buffers)
+
+
+def _make_spool() -> str | None:
+    """Private directory for one call's spooled results; ``None``: use the pipe."""
+    shm = "/dev/shm"
+    base = shm if os.path.isdir(shm) and os.access(shm, os.W_OK) else None
+    try:
+        return tempfile.mkdtemp(prefix="repro-sweep-", dir=base)
+    except OSError:
+        return None
+
+
+def _remove_spool(spool: str) -> None:
+    """Delete a call's spool directory and whatever results it still holds.
+
+    A worker still running a task the parent gave up on (a task
+    exception, an abandoned pool) can add a file while the tree is being
+    removed; a second pass removes that too, and once the directory is
+    gone such a worker answers through the pipe instead of leaving a file.
+    """
+    for _ in range(2):
+        shutil.rmtree(spool, ignore_errors=True)
+        if not os.path.isdir(spool):
+            return
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -163,10 +259,11 @@ def parallel_map(
     previous_payload = _PAYLOAD
     _PAYLOAD = payload
     pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=context)
+    spool = _make_spool()
     abandoned = False
     try:
         try:
-            futures = [pool.submit(_invoke, fn, item) for item in items]
+            futures = [pool.submit(_invoke, fn, item, spool) for item in items]
         except _INFRA_ERRORS:
             # Submission itself failed (e.g. unpicklable fn): all serial.
             if return_exceptions:
@@ -182,7 +279,7 @@ def parallel_map(
                 )
                 continue
             try:
-                results[i] = future.result(timeout=timeout)
+                results[i] = _receive(future.result(timeout=timeout))
             except (FuturesTimeoutError, TimeoutError):
                 failed[i] = TimeoutError(
                     f"task {i} exceeded the {timeout}s pool timeout"
@@ -210,6 +307,8 @@ def parallel_map(
     finally:
         if not abandoned:
             pool.shutdown(wait=False, cancel_futures=True)
+        if spool is not None:
+            _remove_spool(spool)
         _PAYLOAD = previous_payload
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.network import ClosedNetwork, Station
+from repro.serve.protocol import decode_scenario
 from repro.solvers import (
     USE_DEFAULT_CACHE,
     Scenario,
@@ -144,6 +145,56 @@ class TestFingerprint:
         assert clone.fingerprint() == sc.fingerprint()
         rebuilt = Scenario(network, n)
         assert rebuilt.fingerprint() == sc.fingerprint()
+
+
+class TestFingerprintGolden:
+    """Pinned digests: cache keys and the sqlite tier store these bytes.
+
+    A change to any of them orphans every persisted cache entry, so it
+    must come with a ``_FINGERPRINT_VERSION`` bump, never by accident.
+    """
+
+    @staticmethod
+    def scenarios():
+        net = ClosedNetwork(
+            [Station("web", demand=0.02, servers=4), Station("db", demand=0.05)],
+            think_time=1.0,
+        )
+        matrix = np.column_stack([np.linspace(0.02, 0.03, 20), np.full(20, 0.05)])
+        table = decode_scenario({
+            "stations": [
+                {"name": "cpu", "demand": 0.005, "servers": 4},
+                {"name": "disk", "demand": {"levels": [1, 100], "values": [0.004, 0.003]}},
+                {"name": "net", "demand": 0.002, "kind": "delay"},
+            ],
+            "think_time": 1.0,
+            "max_population": 80,
+        })
+        classes = (
+            WorkloadClass("browse", 3, {"web": 0.02, "db": 0.05}, 0.5),
+            WorkloadClass("buy", 3, {"web": lambda n: 0.01 * n, "db": 0.02}, 0.2),
+        )
+        return {
+            "constant": Scenario(net, 50),
+            "table": table,
+            "matrix": Scenario(net, 20, demand_matrix=matrix),
+            "multiclass": Scenario(net, 6, classes=classes),
+            "rate_tables": Scenario(
+                net, 5, rate_tables={"db": [20.0, 30.0, 35.0, 37.5, 38.0]}
+            ),
+        }
+
+    GOLDEN = {
+        "constant": "c87fc1c95c54dc5e16380a23a4dbcdd7e69a96e55f25119200472ab7faf95de1",
+        "table": "c3491ea63ee62ee386f30bc60581d2fc95b00d2b677f5eccebfb1915e41f2c34",
+        "matrix": "8751c4bc8e124e7f6e397c05fa371ce9beb083bd146fa1e7ea650050ad002a41",
+        "multiclass": "b68e6262a287cc7cf8f7cdd93ef502a0301a00a1c51ed21b47f18930455f26bb",
+        "rate_tables": "7817cf2bcc1e6630d106d237525191693701c6ba957a75c2e15af0f7bbeeb741",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN))
+    def test_digest_is_pinned(self, kind):
+        assert self.scenarios()[kind].fingerprint() == self.GOLDEN[kind]
 
 
 class TestScenarioImmutability:

@@ -513,16 +513,24 @@ class TestElasticAndOverload:
         membership = StaticMembership([("127.0.0.1", port1)])
         backend = RemoteBackend(membership=membership, reprobe_interval=0.05)
         box: dict = {}
+        armed = threading.Event()
 
         def run():
             # ~0.15s per shard keeps the lone starting host busy long
             # enough for the join to matter
             with faults.injected(FaultPlan.parse("slow-worker@delay=0.15")):
+                armed.set()
                 box["result"] = backend.run(get_solver("exact-mva"), stack, {})
 
         thread = threading.Thread(target=run)
         thread.start()
-        time.sleep(0.25)
+        # Join once the sweep is under way: the first shard's slow-worker
+        # fault fires as the lone host starts sending it.
+        assert armed.wait(timeout=60.0)
+        deadline = time.monotonic() + 60.0
+        while not faults.fired():
+            assert thread.is_alive() and time.monotonic() < deadline, box
+            time.sleep(0.01)
         membership.add("127.0.0.1", port2)
         thread.join(timeout=60.0)
         assert not thread.is_alive()

@@ -562,6 +562,29 @@ def _slow_solve_request(n=300_000):
     return {"op": "solve", "scenario": _scenario_payload(n=n), "method": "exact-mva"}
 
 
+def _start_slow_solve(port, box):
+    """Send a slow solve from a thread; return once the server reports it.
+
+    The server counts a request in flight and admits it in one step, so
+    from then on the solve holds a slot and the next request meets a
+    server that is busy (or the request already failed, which the
+    caller's assertions then report).
+    """
+
+    def run_slow():
+        with ServeClient(port=port, timeout=120.0) as client:
+            box["slow"] = client.request(_slow_solve_request())
+
+    thread = threading.Thread(target=run_slow)
+    thread.start()
+    deadline = time.monotonic() + 60.0
+    with ServeClient(port=port, timeout=30.0) as client:
+        while client.health()["in_flight"] < 1:
+            assert thread.is_alive() and time.monotonic() < deadline, box
+            time.sleep(0.01)
+    return thread
+
+
 class TestAdmissionControl:
     def test_health_op(self, server):
         with ServeClient(port=server["port"]) as client:
@@ -597,14 +620,7 @@ class TestAdmissionControl:
         )
         try:
             box = {}
-
-            def run_slow():
-                with ServeClient(port=port, timeout=120.0) as client:
-                    box["slow"] = client.request(_slow_solve_request())
-
-            thread = threading.Thread(target=run_slow)
-            thread.start()
-            time.sleep(0.5)  # the slow solve is now holding the only slot
+            thread = _start_slow_solve(port, box)
             with ServeClient(port=port, timeout=30.0) as client:
                 shed = client.request(
                     {
@@ -626,28 +642,11 @@ class TestAdmissionControl:
 
 
 class TestGracefulDrain:
-    def _start_slow_solve(self, port, box):
-        def run_slow():
-            with ServeClient(port=port, timeout=120.0) as client:
-                box["slow"] = client.request(_slow_solve_request())
-
-        thread = threading.Thread(target=run_slow)
-        thread.start()
-        # The drain must land while the solve is in flight: wait until the
-        # server reports it (or the request already failed, which the
-        # caller's assertions then report).
-        deadline = time.monotonic() + 60.0
-        with ServeClient(port=port, timeout=30.0) as client:
-            while client.health()["in_flight"] < 1:
-                assert thread.is_alive() and time.monotonic() < deadline, box
-                time.sleep(0.01)
-        return thread
-
     def test_drain_op_finishes_inflight_and_exits_zero(self):
         proc, port = _start_server()
         box = {}
         try:
-            thread = self._start_slow_solve(port, box)
+            thread = _start_slow_solve(port, box)
             with ServeClient(port=port, timeout=30.0) as client:
                 d = client.drain()
             assert d["draining"] is True
@@ -693,7 +692,7 @@ class TestGracefulDrain:
         proc, port = _start_server()
         box = {}
         try:
-            thread = self._start_slow_solve(port, box)
+            thread = _start_slow_solve(port, box)
             proc.send_signal(signal.SIGTERM)
             thread.join(timeout=120.0)
             assert not thread.is_alive()
