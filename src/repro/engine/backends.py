@@ -4,9 +4,10 @@ The facade decides *what* to solve (method selection, validation,
 caching); a backend decides *how* the stack is executed:
 
 ``serial``
-    The per-scenario scalar loop, stacked into one
-    :class:`~repro.engine.batched.BatchedMVAResult`.  Works for every
-    trajectory method; the fallback when no batched kernel exists.
+    The per-scenario scalar loop (:func:`solve_each`), stacked by
+    :meth:`~repro.engine.batched.ScenarioStack.from_scalars` into the
+    container the method returns.  Works for every trajectory method;
+    the fallback when no batched kernel exists.
 ``batched``
     One vectorized :mod:`repro.engine.batched` recursion advancing all
     scenarios together.  Requires the method to register a
@@ -14,11 +15,11 @@ caching); a backend decides *how* the stack is executed:
 ``process-sharded``
     Splits the stack into contiguous sub-stacks, solves each in a
     :func:`repro.engine.sweep.parallel_map` worker process (each worker
-    runs the method's best in-process backend), and reassembles the
-    parts into a single result.  The scenario list rides to the workers
-    as the fork-inherited payload, so scenarios with unpicklable demand
-    callables shard fine; only the chunk *bounds* and the result arrays
-    cross the process boundary.
+    runs the method's best in-process backend), and joins the parts with
+    :meth:`~repro.engine.batched.ScenarioStack.concat`.  The scenario
+    list rides to the workers as the fork-inherited payload, so
+    scenarios with unpicklable demand callables shard fine; only the
+    chunk *bounds* and the result arrays cross the process boundary.
 
 All three produce trajectories that agree to ≤1e-10 — the parity suite
 in ``tests/test_backends.py`` pins serial vs batched vs sharded for
@@ -42,12 +43,15 @@ from .batched import (
     BatchedMultiClassResult,
     BatchedMultiClassTrajectory,
     BatchedMVAResult,
+    ScenarioFailure,
+    ScenarioStack,
     batched_exact_multiclass,
     batched_exact_mva,
     batched_ld_mva,
     batched_multiclass_mvasd,
     batched_mvasd,
     batched_schweitzer_amva,
+    mix_populations,
 )
 from .sweep import resolve_workers
 
@@ -64,6 +68,7 @@ __all__ = [
     "get_backend",
     "scenario_offset",
     "shard_bounds",
+    "solve_each",
 ]
 
 
@@ -88,60 +93,93 @@ class SerialBackend:
     name = "serial"
 
     def run(self, spec, scenarios, options):
-        results = []
-        for i, sc in enumerate(scenarios):
-            faults.maybe_inject("kernel", scenario=_scenario_offset() + i)
-            results.append(spec.solve(sc, **options))
-        if spec.returns == "multiclass":
-            return self._stack_multiclass(spec, scenarios, results)
-        demands = [r.demands_used for r in results]
-        return BatchedMVAResult(
-            populations=results[0].populations,
-            throughput=np.stack([r.throughput for r in results]),
-            response_time=np.stack([r.response_time for r in results]),
-            queue_lengths=np.stack([r.queue_lengths for r in results]),
-            residence_times=np.stack([r.residence_times for r in results]),
-            utilizations=np.stack([r.utilizations for r in results]),
-            station_names=results[0].station_names,
-            think_times=np.array([r.think_time for r in results]),
+        return solve_each(spec, scenarios, options)
+
+
+def _failure_record(
+    scenario: "Scenario", index: int, solver: str, exc: BaseException, retries: int
+) -> ScenarioFailure:
+    try:
+        fingerprint = scenario.fingerprint()
+    except Exception:
+        # A demand model broken enough to fail fingerprinting still gets
+        # a record — the index and error keep it actionable.
+        fingerprint = "<unavailable>"
+    return ScenarioFailure(
+        index=index,
+        fingerprint=fingerprint,
+        solver=solver,
+        error=f"{type(exc).__name__}: {exc}",
+        retries=retries,
+    )
+
+
+def solve_each(spec, scenarios, options, isolate: bool = False, retries: int = 0):
+    """Solve every scenario with its scalar solver and stack the results.
+
+    The ``serial`` backend: the first error propagates.  With ``isolate``
+    (:func:`~repro.engine.resilience.solve_isolated`) a failing scenario
+    becomes a :class:`ScenarioFailure` stamped with ``retries`` and NaN
+    rows instead.  Labels and think times come from the scenarios, so a
+    stack with no survivor still has its full shape.
+    """
+    scenarios = list(scenarios)
+    offset = _scenario_offset()
+    results: dict[int, Any] = {}
+    failures: list[ScenarioFailure] = []
+    for i, sc in enumerate(scenarios):
+        try:
+            faults.maybe_inject("kernel", scenario=offset + i)
+            results[i] = spec.solve(sc, **options)
+        except Exception as exc:
+            if not isolate:
+                raise
+            failures.append(_failure_record(sc, i, spec.name, exc, retries))
+
+    first_sc = scenarios[0]
+    first = next(iter(results.values()), None)
+    n = first_sc.max_population
+    fields: dict[str, Any] = {"station_names": first_sc.station_names, "backend": "serial"}
+    if spec.returns != "multiclass":
+        if first is None:
+            fields.update(populations=np.arange(1, n + 1), solver=spec.name)
+        else:
             # The concrete scalar label ("stacked-linearizer-amva", not the
             # registry alias) — cache keys and bench reports depend on it.
-            solver=f"stacked-{results[0].solver}",
-            demands_used=None if any(d is None for d in demands) else np.stack(demands),
-            backend=self.name,
+            fields["solver"] = f"stacked-{first.solver}"
+        return BatchedMVAResult.from_scalars(
+            results,
+            len(scenarios),
+            failures,
+            think_times=np.array([sc.think for sc in scenarios]),
+            **fields,
         )
-
-    def _stack_multiclass(self, spec, scenarios, results):
-        # Multi-class scalar results carry no per-result solver label;
-        # the registry name is the concrete one.
-        solver = f"stacked-{spec.name}"
-        first = results[0]
-        if hasattr(first, "totals"):  # MultiClassTrajectory
-            return BatchedMultiClassTrajectory(
-                class_names=first.class_names,
-                station_names=first.station_names,
-                totals=first.totals,
-                populations=first.populations,
-                throughput=np.stack([r.throughput for r in results]),
-                response_time=np.stack([r.response_time for r in results]),
-                utilizations=np.stack([r.utilizations for r in results]),
-                think_times=np.asarray(first.think_times, dtype=float),
-                solver=solver,
-                backend=self.name,
-            )
-        return BatchedMultiClassResult(
-            populations=first.populations,
-            class_names=scenarios[0].class_names,
-            throughput=np.stack([r.throughput for r in results]),
-            response_time=np.stack([r.response_time for r in results]),
-            queue_lengths=np.stack([r.queue_lengths for r in results]),
-            queue_lengths_by_class=np.stack([r.queue_lengths_by_class for r in results]),
-            utilizations=np.stack([r.utilizations for r in results]),
-            station_names=first.station_names,
-            think_times=np.asarray(first.think_times, dtype=float),
-            solver=solver,
-            backend=self.name,
+    # Multi-class scalar results carry no per-result solver label; the
+    # registry name is the concrete one.
+    fields.update(
+        class_names=first_sc.class_names,
+        think_times=np.asarray(first_sc.class_think_times, dtype=float),
+        solver=f"stacked-{spec.name}",
+    )
+    trajectory = (
+        hasattr(first, "totals")
+        if first is not None
+        else spec.batched_kernel == "multiclass-mvasd"
+    )
+    if not trajectory:
+        return BatchedMultiClassResult.from_scalars(
+            results, len(scenarios), failures,
+            populations=first_sc.class_populations, **fields,
         )
+    if first is None:
+        # No survivor to copy the mix sweep from: recompute the
+        # apportionment the solver would have used.
+        fields["totals"], fields["populations"] = mix_populations(
+            first_sc.class_populations, n
+        )
+    return BatchedMultiClassTrajectory.from_scalars(
+        results, len(scenarios), failures, **fields
+    )
 
 
 def _kernel_input(spec: "SolverSpec", scenario: "Scenario") -> np.ndarray:
@@ -332,67 +370,6 @@ def _solve_shard(bounds, payload):
         _SCENARIO_OFFSET = previous_offset
 
 
-def _concat_results(parts: Sequence[Any], backend: str):
-    """Reassemble sharded sub-stack results along the scenario axis."""
-    first = parts[0]
-    demands = [p.demands_used for p in parts]
-    stacked_demands = (
-        None if any(d is None for d in demands) else np.concatenate(demands)
-    )
-    failures = []
-    offset = 0
-    for p in parts:
-        failures.extend(replace(f, index=offset + f.index) for f in p.failures)
-        offset += p.n_scenarios
-    if isinstance(first, BatchedMultiClassTrajectory):
-        return BatchedMultiClassTrajectory(
-            class_names=first.class_names,
-            station_names=first.station_names,
-            totals=first.totals,
-            populations=first.populations,
-            throughput=np.concatenate([p.throughput for p in parts]),
-            response_time=np.concatenate([p.response_time for p in parts]),
-            utilizations=np.concatenate([p.utilizations for p in parts]),
-            think_times=first.think_times,
-            solver=first.solver,
-            demands_used=stacked_demands,
-            backend=backend,
-            failures=tuple(failures),
-        )
-    if isinstance(first, BatchedMultiClassResult):
-        return BatchedMultiClassResult(
-            populations=first.populations,
-            class_names=first.class_names,
-            throughput=np.concatenate([p.throughput for p in parts]),
-            response_time=np.concatenate([p.response_time for p in parts]),
-            queue_lengths=np.concatenate([p.queue_lengths for p in parts]),
-            queue_lengths_by_class=np.concatenate(
-                [p.queue_lengths_by_class for p in parts]
-            ),
-            utilizations=np.concatenate([p.utilizations for p in parts]),
-            station_names=first.station_names,
-            think_times=first.think_times,
-            solver=first.solver,
-            demands_used=stacked_demands,
-            backend=backend,
-            failures=tuple(failures),
-        )
-    return BatchedMVAResult(
-        populations=first.populations,
-        throughput=np.concatenate([p.throughput for p in parts]),
-        response_time=np.concatenate([p.response_time for p in parts]),
-        queue_lengths=np.concatenate([p.queue_lengths for p in parts]),
-        residence_times=np.concatenate([p.residence_times for p in parts]),
-        utilizations=np.concatenate([p.utilizations for p in parts]),
-        station_names=first.station_names,
-        think_times=np.concatenate([p.think_times for p in parts]),
-        solver=first.solver,
-        demands_used=stacked_demands,
-        backend=backend,
-        failures=tuple(failures),
-    )
-
-
 class ProcessShardedBackend:
     """Contiguous sub-stacks fanned out over a local process transport.
 
@@ -419,7 +396,7 @@ class ProcessShardedBackend:
             (spec.name, child_backend, list(scenarios), dict(options)),
             return_exceptions=False,
         )
-        return _concat_results(parts, self.name)
+        return ScenarioStack.concat(parts, self.name)
 
 
 def backend_names() -> tuple[str, ...]:

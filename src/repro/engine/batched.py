@@ -32,9 +32,9 @@ in demands and think times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "BatchedMultiClassResult",
     "BatchedMultiClassTrajectory",
     "ScenarioFailure",
+    "ScenarioStack",
     "batched_exact_mva",
     "batched_exact_multiclass",
     "batched_ld_mva",
@@ -57,6 +58,7 @@ __all__ = [
     "batched_schweitzer_amva",
     "batched_mvasd",
     "demand_matrix_stack",
+    "mix_populations",
 ]
 
 # Mirrors of the scalar Schweitzer fixed-point controls (amva.py).
@@ -121,8 +123,220 @@ class ScenarioFailure:
     retries: int = 0
 
 
+#: Where each letter of a :attr:`ScenarioStack.LAYOUT` shape gets its size.
+_DIM_SOURCES = {
+    "S": "throughput",
+    "N": "populations",
+    "T": "totals",
+    "K": "station_names",
+    "C": "class_names",
+}
+
+
+class ScenarioStack:
+    """The array layout the three stack containers share.
+
+    Each container declares its array fields once, in :attr:`LAYOUT`:
+    field name → shape letters.  A shape that starts with ``S`` (the
+    scenario axis) marks a per-scenario field; every other array field
+    is shared by all scenarios.  The other letters are sized by
+    :data:`_DIM_SOURCES` — ``N`` by ``populations``, ``T`` by ``totals``,
+    ``K``/``C`` by the station/class names.  ``demands_used`` is the one
+    optional array.  Shape validation, :meth:`concat`,
+    :meth:`from_scalars` and the :meth:`to_arrays`/:meth:`from_arrays`
+    codec are all driven by that declaration, so the backends, the
+    checkpoint journal and the wire codec never spell out fields.
+    """
+
+    #: Array field name → shape letters (``S`` first = per-scenario).
+    LAYOUT: dict[str, str] = {}
+    #: Journal ``container`` tag (the wire ``kind`` is derived from it).
+    TAG = ""
+    #: String-tuple fields carried in the meta dict.
+    NAMES: tuple[str, ...] = ("station_names",)
+
+    #: Container class by :attr:`TAG`.
+    containers: dict[str, type["ScenarioStack"]] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        ScenarioStack.containers[cls.TAG] = cls
+
+    def __post_init__(self) -> None:
+        for name, dims in self.LAYOUT.items():
+            value = getattr(self, name)
+            if value is None and name == "demands_used":
+                continue
+            shape = self._shape(dims, lambda field: getattr(self, field))
+            if np.shape(value) != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+        object.__setattr__(self, "failures", tuple(self.failures))
+        s = self.n_scenarios
+        for f in self.failures:
+            if not 0 <= f.index < s:
+                raise ValueError(
+                    f"failure index {f.index} out of range for {s} scenarios"
+                )
+
+    @staticmethod
+    def _shape(dims: str, lookup) -> tuple[int, ...]:
+        """The shape ``dims`` spells, sizing letters through ``lookup(field)``."""
+        return tuple(len(lookup(_DIM_SOURCES[d])) for d in dims)
+
+    @classmethod
+    def _per_scenario(cls) -> tuple[str, ...]:
+        return tuple(name for name, dims in cls.LAYOUT.items() if dims.startswith("S"))
+
+    @property
+    def failed_indices(self) -> tuple[int, ...]:
+        """Stack positions of the isolated scenarios, ascending."""
+        return tuple(sorted(f.index for f in self.failures))
+
+    @property
+    def n_scenarios(self) -> int:
+        return self.throughput.shape[0]
+
+    def __len__(self) -> int:
+        return self.n_scenarios
+
+    @staticmethod
+    def concat(parts: Sequence["ScenarioStack"], backend: str | None) -> "ScenarioStack":
+        """Stack sub-stack results back together along the scenario axis.
+
+        Per-scenario fields are concatenated (``demands_used`` only when
+        every part carries it), shared fields and labels come from part 0,
+        and each part's failure indices are shifted by its offset.
+        """
+        first = parts[0]
+        fields = {name: getattr(first, name) for name in first.LAYOUT}
+        for name in first._per_scenario():
+            arrays = [getattr(p, name) for p in parts]
+            fields[name] = (
+                None if any(a is None for a in arrays) else np.concatenate(arrays)
+            )
+        failures, offset = [], 0
+        for p in parts:
+            failures.extend(replace(f, index=offset + f.index) for f in p.failures)
+            offset += p.n_scenarios
+        return type(first)(
+            **fields,
+            **{name: getattr(first, name) for name in first.NAMES},
+            solver=first.solver,
+            backend=backend,
+            failures=tuple(failures),
+        )
+
+    @classmethod
+    def from_scalars(
+        cls,
+        results: Mapping[int, Any],
+        n_scenarios: int,
+        failures: Sequence[ScenarioFailure] = (),
+        **fields,
+    ) -> "ScenarioStack":
+        """Stack ``{index: scalar result}`` into one container of ``n_scenarios``.
+
+        Keyword ``fields`` win.  Any other shared field or name is read
+        off the first result; any other per-scenario field is one row per
+        result, read under the same name, with NaN rows at the indices
+        that have no result (the ``failures``).  ``demands_used`` is kept
+        only when there is a result and every result carries one.  A
+        single-class stack needs ``think_times`` given: its scalar results
+        carry ``think_time``.
+        """
+        first = next(iter(results.values()), None)
+        per_scenario = cls._per_scenario()
+        for name in (*cls.LAYOUT, *cls.NAMES):
+            if name not in fields and name not in per_scenario:
+                fields[name] = getattr(first, name)
+        for name in per_scenario:
+            if name in fields:
+                continue
+            rows = {i: getattr(r, name, None) for i, r in results.items()}
+            if name == "demands_used" and (
+                not rows or any(row is None for row in rows.values())
+            ):
+                fields[name] = None
+                continue
+            shape = cls._shape(cls.LAYOUT[name][1:], fields.__getitem__)
+            stack = np.full((n_scenarios, *shape), np.nan)
+            for i, row in rows.items():
+                stack[i] = row
+            fields[name] = stack
+        return cls(**fields, failures=tuple(failures))
+
+    def to_arrays(self) -> tuple[dict[str, Any], dict[str, Any]]:
+        """The container as ``(named arrays, meta)``; inverse of :meth:`from_arrays`.
+
+        The arrays follow :attr:`LAYOUT` order (``demands_used`` may be
+        ``None``); the meta dict holds the JSON-ready labels and the
+        ``container`` tag.  Failures are left to the caller.
+        """
+        meta = {
+            "solver": self.solver,
+            "backend": self.backend,
+            "station_names": list(self.station_names),
+            "container": self.TAG,
+        }
+        if "class_names" in self.NAMES:
+            meta["class_names"] = list(self.class_names)
+        return {name: getattr(self, name) for name in self.LAYOUT}, meta
+
+    @staticmethod
+    def from_arrays(
+        arrays: Mapping[str, Any],
+        meta: Mapping[str, Any],
+        failures: Sequence[ScenarioFailure] = (),
+    ) -> "ScenarioStack":
+        """Rebuild a container from :meth:`to_arrays` output.
+
+        ``meta["container"]`` picks the class; it defaults to ``"mva"``,
+        the single-class container, for records written before the tag.
+        Per-scenario arrays come back as float, whatever dtype a peer sent.
+        """
+        tag = meta.get("container", "mva")
+        cls = ScenarioStack.containers.get(tag)
+        if cls is None:
+            raise ValueError(f"unknown stack container {tag!r}")
+        per_scenario = cls._per_scenario()
+        fields = {}
+        for name in cls.LAYOUT:
+            value = arrays.get(name) if name == "demands_used" else arrays[name]
+            if value is not None and name in per_scenario:
+                value = np.asarray(value, dtype=float)
+            fields[name] = value
+        return cls(
+            **fields,
+            **{name: tuple(str(n) for n in meta[name]) for name in cls.NAMES},
+            solver=str(meta["solver"]),
+            backend=meta.get("backend"),
+            failures=tuple(failures),
+        )
+
+
+def mix_populations(mix, max_total_population: int) -> tuple[np.ndarray, np.ndarray]:
+    """Totals ``1..T`` and their integer class mixes ``(T, C)``.
+
+    Each total is split over the classes in proportion to ``mix`` by
+    largest-remainder rounding — the apportionment every multi-class mix
+    sweep shares.
+    """
+    weights = np.asarray(mix, dtype=float)
+    weights = weights / weights.sum()
+    totals = np.arange(1, int(max_total_population) + 1)
+    pops = np.zeros((len(totals), len(weights)), dtype=int)
+    for i, total in enumerate(totals):
+        raw = weights * total
+        base = np.floor(raw).astype(int)
+        remainder = int(total) - int(base.sum())
+        order = np.argsort(-(raw - base))
+        base[order[:remainder]] += 1
+        pops[i] = base
+    return totals, pops
+
+
 @dataclass(frozen=True)
-class BatchedMVAResult:
+class BatchedMVAResult(ScenarioStack):
     """Trajectories of S scenarios solved in one batched recursion.
 
     The arrays carry a leading scenario axis on top of the scalar
@@ -151,36 +365,17 @@ class BatchedMVAResult:
     #: rows in the trajectory arrays are NaN.  Empty for fault-free runs.
     failures: tuple[ScenarioFailure, ...] = ()
 
-    def __post_init__(self) -> None:
-        s, n, k = self.n_scenarios, len(self.populations), len(self.station_names)
-        for attr in ("throughput", "response_time"):
-            if getattr(self, attr).shape != (s, n):
-                raise ValueError(f"{attr} must have shape ({s}, {n})")
-        for attr in ("queue_lengths", "residence_times", "utilizations"):
-            if getattr(self, attr).shape != (s, n, k):
-                raise ValueError(f"{attr} must have shape ({s}, {n}, {k})")
-        if self.think_times.shape != (s,):
-            raise ValueError(f"think_times must have shape ({s},)")
-        if self.demands_used is not None and self.demands_used.shape != (s, n, k):
-            raise ValueError(f"demands_used must have shape ({s}, {n}, {k})")
-        object.__setattr__(self, "failures", tuple(self.failures))
-        for f in self.failures:
-            if not 0 <= f.index < s:
-                raise ValueError(
-                    f"failure index {f.index} out of range for {s} scenarios"
-                )
-
-    @property
-    def failed_indices(self) -> tuple[int, ...]:
-        """Stack positions of the isolated scenarios, ascending."""
-        return tuple(sorted(f.index for f in self.failures))
-
-    @property
-    def n_scenarios(self) -> int:
-        return self.throughput.shape[0]
-
-    def __len__(self) -> int:
-        return self.n_scenarios
+    TAG = "mva"
+    LAYOUT = {
+        "populations": "N",
+        "throughput": "SN",
+        "response_time": "SN",
+        "queue_lengths": "SNK",
+        "residence_times": "SNK",
+        "utilizations": "SNK",
+        "think_times": "S",
+        "demands_used": "SNK",
+    }
 
     @property
     def cycle_time(self) -> np.ndarray:
@@ -811,7 +1006,7 @@ def _mvasd_levels_numpy(network, matrices, z, single_server):
 
 
 @dataclass(frozen=True)
-class BatchedMultiClassResult:
+class BatchedMultiClassResult(ScenarioStack):
     """Full-population multi-class solutions of S scenarios in one batch.
 
     The multi-class analogue of :class:`BatchedMVAResult`: the arrays
@@ -837,44 +1032,22 @@ class BatchedMultiClassResult:
     backend: str | None = None
     failures: tuple[ScenarioFailure, ...] = ()
 
+    TAG = "multiclass"
+    LAYOUT = {
+        "populations": "C",
+        "throughput": "SC",
+        "response_time": "SC",
+        "queue_lengths": "SK",
+        "queue_lengths_by_class": "SKC",
+        "utilizations": "SK",
+        "think_times": "C",
+        "demands_used": "SKC",
+    }
+    NAMES = ("station_names", "class_names")
+
     def __post_init__(self) -> None:
-        s = self.n_scenarios
-        c = len(self.class_names)
-        k = len(self.station_names)
-        if len(self.populations) != c:
-            raise ValueError(f"populations must have {c} entries")
-        for attr in ("throughput", "response_time"):
-            if getattr(self, attr).shape != (s, c):
-                raise ValueError(f"{attr} must have shape ({s}, {c})")
-        for attr, shape in (
-            ("queue_lengths", (s, k)),
-            ("queue_lengths_by_class", (s, k, c)),
-            ("utilizations", (s, k)),
-        ):
-            if getattr(self, attr).shape != shape:
-                raise ValueError(f"{attr} must have shape {shape}")
-        if self.think_times.shape != (c,):
-            raise ValueError(f"think_times must have shape ({c},)")
-        if self.demands_used is not None and self.demands_used.shape != (s, k, c):
-            raise ValueError(f"demands_used must have shape ({s}, {k}, {c})")
-        object.__setattr__(self, "failures", tuple(self.failures))
-        for f in self.failures:
-            if not 0 <= f.index < s:
-                raise ValueError(
-                    f"failure index {f.index} out of range for {s} scenarios"
-                )
-
-    @property
-    def failed_indices(self) -> tuple[int, ...]:
-        """Stack positions of the isolated scenarios, ascending."""
-        return tuple(sorted(f.index for f in self.failures))
-
-    @property
-    def n_scenarios(self) -> int:
-        return self.throughput.shape[0]
-
-    def __len__(self) -> int:
-        return self.n_scenarios
+        object.__setattr__(self, "populations", tuple(int(n) for n in self.populations))
+        super().__post_init__()
 
     @property
     def total_throughput(self) -> np.ndarray:
@@ -899,7 +1072,7 @@ class BatchedMultiClassResult:
 
 
 @dataclass(frozen=True)
-class BatchedMultiClassTrajectory:
+class BatchedMultiClassTrajectory(ScenarioStack):
     """Mix-sweep trajectories of S multi-class scenarios in one batch.
 
     Batched analogue of
@@ -922,40 +1095,17 @@ class BatchedMultiClassTrajectory:
     backend: str | None = None
     failures: tuple[ScenarioFailure, ...] = ()
 
-    def __post_init__(self) -> None:
-        s = self.n_scenarios
-        t = len(self.totals)
-        c = len(self.class_names)
-        k = len(self.station_names)
-        if self.populations.shape != (t, c):
-            raise ValueError(f"populations must have shape ({t}, {c})")
-        for attr in ("throughput", "response_time"):
-            if getattr(self, attr).shape != (s, t, c):
-                raise ValueError(f"{attr} must have shape ({s}, {t}, {c})")
-        if self.utilizations.shape != (s, t, k):
-            raise ValueError(f"utilizations must have shape ({s}, {t}, {k})")
-        if self.think_times.shape != (c,):
-            raise ValueError(f"think_times must have shape ({c},)")
-        if self.demands_used is not None and self.demands_used.shape != (s, t, k, c):
-            raise ValueError(f"demands_used must have shape ({s}, {t}, {k}, {c})")
-        object.__setattr__(self, "failures", tuple(self.failures))
-        for f in self.failures:
-            if not 0 <= f.index < s:
-                raise ValueError(
-                    f"failure index {f.index} out of range for {s} scenarios"
-                )
-
-    @property
-    def failed_indices(self) -> tuple[int, ...]:
-        """Stack positions of the isolated scenarios, ascending."""
-        return tuple(sorted(f.index for f in self.failures))
-
-    @property
-    def n_scenarios(self) -> int:
-        return self.throughput.shape[0]
-
-    def __len__(self) -> int:
-        return self.n_scenarios
+    TAG = "multiclass-trajectory"
+    LAYOUT = {
+        "totals": "T",
+        "populations": "TC",
+        "throughput": "STC",
+        "response_time": "STC",
+        "utilizations": "STK",
+        "think_times": "C",
+        "demands_used": "STKC",
+    }
+    NAMES = ("station_names", "class_names")
 
     @property
     def total_throughput(self) -> np.ndarray:
@@ -1220,29 +1370,20 @@ def batched_multiclass_mvasd(
         raise ValueError(
             "batched-multiclass-mvasd: mix weights must be non-negative with positive sum"
         )
-    weights = weights / weights.sum()
     _names, _kinds, is_queue, z, cls = _class_axes(
         cls, think_times, names, station_kinds, k, "batched-multiclass-mvasd"
     )
     if z.shape != (c,):
         raise ValueError(f"batched-multiclass-mvasd: think_times must be {c} values")
 
-    steps = np.arange(1, t + 1)
-    pops = np.zeros((t, c), dtype=int)
+    # Shared largest-remainder apportionment of the mix at every total.
+    steps, pops = mix_populations(weights, t)
     xs = np.zeros((s, t, c))
     rs = np.zeros((s, t, c))
     utils = np.zeros((s, t, k))
 
-    for i, total in enumerate(steps):
-        # Shared largest-remainder apportionment of the mix at this total.
-        raw = weights * total
-        base = np.floor(raw).astype(int)
-        remainder = int(total) - int(base.sum())
-        order = np.argsort(-(raw - base))
-        base[order[:remainder]] += 1
-        pops[i] = base
-
-        n_c = base.astype(float)
+    for i in range(t):
+        n_c = pops[i].astype(float)
         active_cls = n_c > 0
         d_step = d[:, i, :, :]
 

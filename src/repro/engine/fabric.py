@@ -16,8 +16,8 @@ into three layers with one owner each:
     How failures are survived: the staged
     sharded → batched → serial → isolate degradation chain with
     :class:`~repro.engine.resilience.RetryPolicy` backoff, per-shard
-    timeouts, checkpoint journaling as shards land, and
-    :func:`~repro.engine.backends._concat_results` reassembly.  The
+    timeouts, checkpoint journaling as shards land, and one
+    :meth:`~repro.engine.batched.ScenarioStack.concat` of the parts.  The
     attempt counter published to :mod:`repro.engine.faults` stays
     monotone across stages, so deterministic faults fire exactly once.
 :class:`~repro.engine.transport.Transport` (*transport*)
@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from . import faults
-from .backends import _concat_results, get_backend, scenario_offset, shard_bounds
+from .backends import get_backend, scenario_offset, shard_bounds
+from .batched import ScenarioStack
 from .resilience import (
     RetryPolicy,
     SweepCheckpoint,
@@ -143,6 +144,9 @@ class Dispatcher:
        raised (``errors="raise"``) or recorded as
        :class:`~repro.engine.batched.ScenarioFailure` entries with NaN
        rows (``errors="isolate"``).
+
+    The parts, in shard order, are joined with
+    :meth:`~repro.engine.batched.ScenarioStack.concat`.
 
     This is byte-for-byte the recovery behaviour the ``resilient``
     backend always had — :class:`ResilientBackend` now *is* this class
@@ -254,7 +258,7 @@ class Dispatcher:
             faults.set_attempt(0)
 
         ordered = [parts[s.index] for s in plan.shards]
-        return _concat_results(ordered, self.name)
+        return ScenarioStack.concat(ordered, self.name)
 
 
 def _check_remote_capability(spec, scenarios, options) -> None:

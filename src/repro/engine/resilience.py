@@ -53,17 +53,14 @@ import numpy as np
 
 from . import faults
 from .backends import (
+    _failure_record,
     _kernel_input,
     _kernel_input_shape,
     _run_kernel,
     _scenario_offset,
+    solve_each,
 )
-from .batched import (
-    BatchedMultiClassResult,
-    BatchedMultiClassTrajectory,
-    BatchedMVAResult,
-    ScenarioFailure,
-)
+from .batched import ScenarioFailure, ScenarioStack
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..solvers.registry import SolverSpec
@@ -132,169 +129,23 @@ class RetryPolicy:
         )
 
 
-def _failure_record(
-    scenario: "Scenario", index: int, solver: str, exc: BaseException, retries: int
-) -> ScenarioFailure:
-    try:
-        fingerprint = scenario.fingerprint()
-    except Exception:
-        # A demand model broken enough to fail fingerprinting still gets
-        # a record — the index and error keep it actionable.
-        fingerprint = "<unavailable>"
-    return ScenarioFailure(
-        index=index,
-        fingerprint=fingerprint,
-        solver=solver,
-        error=f"{type(exc).__name__}: {exc}",
-        retries=retries,
-    )
-
-
 def solve_isolated(
     spec: "SolverSpec",
     scenarios: Sequence["Scenario"],
     options: Mapping[str, Any],
     retries: int = 0,
-) -> BatchedMVAResult:
+) -> ScenarioStack:
     """Solve each scenario alone, isolating failures instead of aborting.
 
     The per-scenario last resort behind ``solve_stack(errors="isolate")``
     and the final stage of :class:`ResilientBackend`: successful
     scenarios get exactly the rows the ``serial`` backend would produce
-    (same scalar solver, same order); failed scenarios contribute NaN
-    rows plus a :class:`ScenarioFailure` record.  ``retries`` stamps the
-    records with how many recovery attempts preceded isolation.
+    (it is the same :func:`~repro.engine.backends.solve_each` loop);
+    failed scenarios contribute NaN rows plus a :class:`ScenarioFailure`
+    record.  ``retries`` stamps the records with how many recovery
+    attempts preceded isolation.
     """
-    scenarios = list(scenarios)
-    offset = _scenario_offset()
-    n = scenarios[0].max_population
-    k = len(scenarios[0].station_names)
-    s = len(scenarios)
-    results: dict[int, Any] = {}
-    failures: list[ScenarioFailure] = []
-    for i, sc in enumerate(scenarios):
-        try:
-            faults.maybe_inject("kernel", scenario=offset + i)
-            results[i] = spec.solve(sc, **dict(options))
-        except Exception as exc:
-            failures.append(_failure_record(sc, i, spec.name, exc, retries))
-
-    if spec.returns == "multiclass":
-        return _isolate_multiclass(spec, scenarios, results, failures)
-
-    populations = np.arange(1, n + 1)
-    throughput = np.full((s, n), np.nan)
-    response_time = np.full((s, n), np.nan)
-    queue_lengths = np.full((s, n, k), np.nan)
-    residence_times = np.full((s, n, k), np.nan)
-    utilizations = np.full((s, n, k), np.nan)
-    demands = np.full((s, n, k), np.nan)
-    have_demands = bool(results)
-    for i, r in results.items():
-        throughput[i] = r.throughput
-        response_time[i] = r.response_time
-        queue_lengths[i] = r.queue_lengths
-        residence_times[i] = r.residence_times
-        utilizations[i] = r.utilizations
-        if r.demands_used is None:
-            have_demands = False
-        else:
-            demands[i] = r.demands_used
-    first = next(iter(results.values()), None)
-    return BatchedMVAResult(
-        populations=first.populations if first is not None else populations,
-        throughput=throughput,
-        response_time=response_time,
-        queue_lengths=queue_lengths,
-        residence_times=residence_times,
-        utilizations=utilizations,
-        station_names=scenarios[0].station_names,
-        think_times=np.array([sc.think for sc in scenarios]),
-        solver=f"stacked-{first.solver}" if first is not None else spec.name,
-        demands_used=demands if have_demands else None,
-        backend="serial",
-        failures=tuple(failures),
-    )
-
-
-def _isolate_multiclass(spec, scenarios, results, failures):
-    """Assemble the multi-class isolation container (NaN rows for failures)."""
-    first_sc = scenarios[0]
-    s = len(scenarios)
-    k = len(first_sc.station_names)
-    c = len(first_sc.classes)
-    n = first_sc.max_population
-    z = np.asarray(first_sc.class_think_times, dtype=float)
-    solver = f"stacked-{spec.name}"
-    first = next(iter(results.values()), None)
-    trajectory = (
-        hasattr(first, "totals")
-        if first is not None
-        else spec.batched_kernel == "multiclass-mvasd"
-    )
-    if trajectory:
-        throughput = np.full((s, n, c), np.nan)
-        response = np.full((s, n, c), np.nan)
-        utils = np.full((s, n, k), np.nan)
-        for i, r in results.items():
-            throughput[i] = r.throughput
-            response[i] = r.response_time
-            utils[i] = r.utilizations
-        if first is not None:
-            totals, pops = first.totals, first.populations
-        else:
-            # No survivor to copy the mix sweep from: recompute the
-            # largest-remainder apportionment the solver would have used.
-            totals = np.arange(1, n + 1)
-            weights = np.array(
-                [cl.population for cl in first_sc.classes], dtype=float
-            )
-            weights = weights / weights.sum()
-            pops = np.zeros((n, c), dtype=int)
-            for ti, total in enumerate(range(1, n + 1)):
-                raw = weights * total
-                base = np.floor(raw).astype(int)
-                order = np.argsort(-(raw - base))
-                base[order[: total - int(base.sum())]] += 1
-                pops[ti] = base
-        return BatchedMultiClassTrajectory(
-            class_names=first_sc.class_names,
-            station_names=first_sc.station_names,
-            totals=np.asarray(totals),
-            populations=np.asarray(pops),
-            throughput=throughput,
-            response_time=response,
-            utilizations=utils,
-            think_times=z,
-            solver=solver,
-            backend="serial",
-            failures=tuple(failures),
-        )
-    throughput = np.full((s, c), np.nan)
-    response = np.full((s, c), np.nan)
-    queue_lengths = np.full((s, k), np.nan)
-    queue_by_class = np.full((s, k, c), np.nan)
-    utils = np.full((s, k), np.nan)
-    for i, r in results.items():
-        throughput[i] = r.throughput
-        response[i] = r.response_time
-        queue_lengths[i] = r.queue_lengths
-        queue_by_class[i] = r.queue_lengths_by_class
-        utils[i] = r.utilizations
-    return BatchedMultiClassResult(
-        populations=first_sc.class_populations,
-        class_names=first_sc.class_names,
-        throughput=throughput,
-        response_time=response,
-        queue_lengths=queue_lengths,
-        queue_lengths_by_class=queue_by_class,
-        utilizations=utils,
-        station_names=first_sc.station_names,
-        think_times=z,
-        solver=solver,
-        backend="serial",
-        failures=tuple(failures),
-    )
+    return solve_each(spec, scenarios, options, isolate=True, retries=retries)
 
 
 def solve_isolated_batched(
@@ -346,9 +197,10 @@ class SweepCheckpoint:
     Each record is one line of JSON holding a content-addressed shard
     key (:meth:`shard_key` — scenario fingerprints + method + canonical
     options, the same identity the solver cache uses), a SHA-256 of the
-    payload, and the shard's result arrays (any of the three stack
-    containers, tagged by a ``container`` meta field) as a
-    base64 ``.npz`` blob.  The array round-trip is lossless, so a
+    payload, and the shard's result arrays (the
+    :meth:`~repro.engine.batched.ScenarioStack.to_arrays` view of any of
+    the three stack containers, tagged by a ``container`` meta field) as
+    a base64 ``.npz`` blob.  The array round-trip is lossless, so a
     resumed sweep reassembles *bit-identical* results from journaled
     shards.  Loading tolerates a torn tail (the line a killed driver was
     writing) and corrupted records by skipping anything that fails JSON
@@ -402,7 +254,9 @@ class SweepCheckpoint:
                 raw = base64.b64decode(record["payload"].encode("ascii"))
                 if hashlib.sha256(raw).hexdigest() != record["sha256"]:
                     continue
-                completed[record["key"]] = self._decode(record["meta"], raw)
+                with np.load(io.BytesIO(raw), allow_pickle=False) as arrays:
+                    part = ScenarioStack.from_arrays(arrays, record["meta"])
+                completed[record["key"]] = part
             except Exception:
                 continue  # torn tail or corrupted record: re-solve that shard
         return completed
@@ -410,26 +264,20 @@ class SweepCheckpoint:
     def record(self, key: str | None, part) -> None:
         """Append one completed shard (no-op for unkeyed/failed parts).
 
-        All three stack containers journal: single-class trajectories
-        (:class:`BatchedMVAResult`) and the two multi-class containers
-        — each with its own npz array layout, tagged by a ``container``
-        field in the record meta.  Parts carrying failures are never
-        journaled: a resume after fixing the inputs must recompute them.
+        All three stack containers journal through
+        :meth:`~repro.engine.batched.ScenarioStack.to_arrays`: the named
+        arrays become the npz, the meta (with its ``container`` tag)
+        rides beside it.  Parts carrying failures are never journaled: a
+        resume after fixing the inputs must recompute them.
         """
-        if (
-            key is None
-            or part.failures
-            or not isinstance(
-                part,
-                (
-                    BatchedMVAResult,
-                    BatchedMultiClassResult,
-                    BatchedMultiClassTrajectory,
-                ),
-            )
-        ):
+        if key is None or part.failures or not isinstance(part, ScenarioStack):
             return
-        meta, raw = self._encode(part)
+        arrays, meta = part.to_arrays()
+        buf = io.BytesIO()
+        np.savez_compressed(
+            buf, **{name: arr for name, arr in arrays.items() if arr is not None}
+        )
+        raw = buf.getvalue()
         record = {
             "version": _CHECKPOINT_VERSION,
             "key": key,
@@ -445,105 +293,6 @@ class SweepCheckpoint:
                 os.fsync(fh.fileno())
             except OSError:  # pragma: no cover - fsync-less filesystems
                 pass
-
-    @staticmethod
-    def _encode(part) -> tuple[dict, bytes]:
-        meta = {
-            "solver": part.solver,
-            "backend": part.backend,
-            "station_names": list(part.station_names),
-        }
-        if isinstance(part, BatchedMultiClassTrajectory):
-            meta["container"] = "multiclass-trajectory"
-            meta["class_names"] = list(part.class_names)
-            arrays = {
-                "totals": np.asarray(part.totals),
-                "populations": np.asarray(part.populations),
-                "throughput": part.throughput,
-                "response_time": part.response_time,
-                "utilizations": part.utilizations,
-                "think_times": part.think_times,
-            }
-        elif isinstance(part, BatchedMultiClassResult):
-            meta["container"] = "multiclass"
-            meta["class_names"] = list(part.class_names)
-            arrays = {
-                "populations": np.asarray(part.populations),
-                "throughput": part.throughput,
-                "response_time": part.response_time,
-                "queue_lengths": part.queue_lengths,
-                "queue_lengths_by_class": part.queue_lengths_by_class,
-                "utilizations": part.utilizations,
-                "think_times": part.think_times,
-            }
-        else:
-            # "mva" is the implicit default so v1 single-class records
-            # (written before the tag existed) keep decoding unchanged.
-            meta["container"] = "mva"
-            arrays = {
-                "populations": part.populations,
-                "throughput": part.throughput,
-                "response_time": part.response_time,
-                "queue_lengths": part.queue_lengths,
-                "residence_times": part.residence_times,
-                "utilizations": part.utilizations,
-                "think_times": part.think_times,
-            }
-        if part.demands_used is not None:
-            arrays["demands_used"] = part.demands_used
-        buf = io.BytesIO()
-        np.savez_compressed(buf, **arrays)
-        return meta, buf.getvalue()
-
-    @staticmethod
-    def _decode(meta: Mapping, raw: bytes):
-        container = meta.get("container", "mva")
-        with np.load(io.BytesIO(raw), allow_pickle=False) as data:
-            demands = data["demands_used"] if "demands_used" in data else None
-            if container == "multiclass-trajectory":
-                return BatchedMultiClassTrajectory(
-                    class_names=tuple(meta["class_names"]),
-                    station_names=tuple(meta["station_names"]),
-                    totals=data["totals"],
-                    populations=data["populations"],
-                    throughput=data["throughput"],
-                    response_time=data["response_time"],
-                    utilizations=data["utilizations"],
-                    think_times=data["think_times"],
-                    solver=str(meta["solver"]),
-                    demands_used=demands,
-                    backend=meta.get("backend"),
-                )
-            if container == "multiclass":
-                return BatchedMultiClassResult(
-                    populations=tuple(int(n) for n in data["populations"]),
-                    class_names=tuple(meta["class_names"]),
-                    throughput=data["throughput"],
-                    response_time=data["response_time"],
-                    queue_lengths=data["queue_lengths"],
-                    queue_lengths_by_class=data["queue_lengths_by_class"],
-                    utilizations=data["utilizations"],
-                    station_names=tuple(meta["station_names"]),
-                    think_times=data["think_times"],
-                    solver=str(meta["solver"]),
-                    demands_used=demands,
-                    backend=meta.get("backend"),
-                )
-            if container != "mva":
-                raise ValueError(f"unknown checkpoint container {container!r}")
-            return BatchedMVAResult(
-                populations=data["populations"],
-                throughput=data["throughput"],
-                response_time=data["response_time"],
-                queue_lengths=data["queue_lengths"],
-                residence_times=data["residence_times"],
-                utilizations=data["utilizations"],
-                station_names=tuple(meta["station_names"]),
-                think_times=data["think_times"],
-                solver=str(meta["solver"]),
-                demands_used=demands,
-                backend=meta.get("backend"),
-            )
 
 
 class ResilientBackend:

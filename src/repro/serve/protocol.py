@@ -78,12 +78,7 @@ import numpy as np
 
 from ..core.network import ClosedNetwork, Station
 from ..core.results import MVAResult
-from ..engine.batched import (
-    BatchedMultiClassResult,
-    BatchedMultiClassTrajectory,
-    BatchedMVAResult,
-    ScenarioFailure,
-)
+from ..engine.batched import ScenarioFailure, ScenarioStack
 from ..solvers.scenario import Scenario, WorkloadClass
 from ..solvers.validation import SolverInputError
 
@@ -413,132 +408,59 @@ def _decode_failures(payload) -> tuple[ScenarioFailure, ...]:
     )
 
 
-def _maybe_pack(arr) -> dict | None:
-    return None if arr is None else _pack_array(arr)
-
-
-def _maybe_unpack(raw) -> np.ndarray | None:
-    return None if raw is None else _unpack_array(raw, dtype=float)
+#: Wire ``kind`` of each stack container, by its journal ``container`` tag.
+_STACK_KINDS = {
+    "mva": "batched-stack",
+    "multiclass": "multiclass-stack",
+    "multiclass-trajectory": "multiclass-trajectory-stack",
+}
+_STACK_TAGS = {kind: tag for tag, kind in _STACK_KINDS.items()}
 
 
 def encode_stack_result(result) -> dict:
     """JSON-ready form of a batched sub-stack (the ``solve_shard`` body).
 
-    Every trajectory array is packed via :func:`_pack_array` (the raw
+    The container's :meth:`~repro.engine.batched.ScenarioStack.to_arrays`
+    view, with every array packed via :func:`_pack_array` (the raw
     IEEE-754 buffer, so round-trips are bit-exact and cost memcpy, not
     float parsing), plus the isolated-failure records so a remote shard
-    degrades exactly like a local one.  Three container kinds mirror the
-    checkpoint containers: ``batched-stack`` (single-class),
-    ``multiclass-stack`` (full-population multi-class) and
-    ``multiclass-trajectory-stack`` (mix sweeps).
+    degrades exactly like a local one.  The ``kind`` names the container:
+    ``batched-stack`` (single-class), ``multiclass-stack``
+    (full-population multi-class, whose ``populations`` rides as a plain
+    list) or ``multiclass-trajectory-stack`` (mix sweeps).
     """
-    if isinstance(result, BatchedMVAResult):
-        return {
-            "kind": "batched-stack",
-            "solver": result.solver,
-            "backend": result.backend,
-            "station_names": list(result.station_names),
-            "populations": _pack_array(result.populations),
-            "think_times": _pack_array(result.think_times),
-            "throughput": _pack_array(result.throughput),
-            "response_time": _pack_array(result.response_time),
-            "queue_lengths": _pack_array(result.queue_lengths),
-            "residence_times": _pack_array(result.residence_times),
-            "utilizations": _pack_array(result.utilizations),
-            "demands_used": _maybe_pack(result.demands_used),
-            "failures": _encode_failures(result),
-        }
-    if isinstance(result, BatchedMultiClassResult):
-        return {
-            "kind": "multiclass-stack",
-            "solver": result.solver,
-            "backend": result.backend,
-            "station_names": list(result.station_names),
-            "class_names": list(result.class_names),
-            "populations": [int(n) for n in result.populations],
-            "think_times": _pack_array(result.think_times),
-            "throughput": _pack_array(result.throughput),
-            "response_time": _pack_array(result.response_time),
-            "queue_lengths": _pack_array(result.queue_lengths),
-            "queue_lengths_by_class": _pack_array(result.queue_lengths_by_class),
-            "utilizations": _pack_array(result.utilizations),
-            "demands_used": _maybe_pack(result.demands_used),
-            "failures": _encode_failures(result),
-        }
-    if isinstance(result, BatchedMultiClassTrajectory):
-        return {
-            "kind": "multiclass-trajectory-stack",
-            "solver": result.solver,
-            "backend": result.backend,
-            "station_names": list(result.station_names),
-            "class_names": list(result.class_names),
-            "totals": _pack_array(result.totals),
-            "populations": _pack_array(result.populations),
-            "think_times": _pack_array(result.think_times),
-            "throughput": _pack_array(result.throughput),
-            "response_time": _pack_array(result.response_time),
-            "utilizations": _pack_array(result.utilizations),
-            "demands_used": _maybe_pack(result.demands_used),
-            "failures": _encode_failures(result),
-        }
-    raise ProtocolError(
-        f"only batched stacks cross the wire, got {type(result).__name__}"
-    )
+    if not isinstance(result, ScenarioStack):
+        raise ProtocolError(
+            f"only batched stacks cross the wire, got {type(result).__name__}"
+        )
+    arrays, meta = result.to_arrays()
+    payload = {"kind": _STACK_KINDS[meta.pop("container")], **meta}
+    for name, value in arrays.items():
+        if value is None:
+            payload[name] = None
+        elif isinstance(value, np.ndarray):
+            payload[name] = _pack_array(value)
+        else:
+            payload[name] = list(value)
+    payload["failures"] = _encode_failures(result)
+    return payload
 
 
 def decode_stack_result(payload: Mapping[str, Any]):
     """Rebuild the batched result a worker shipped back."""
     try:
         kind = payload.get("kind")
-        if kind == "batched-stack":
-            return BatchedMVAResult(
-                populations=_unpack_array(payload["populations"]),
-                throughput=_unpack_array(payload["throughput"], dtype=float),
-                response_time=_unpack_array(payload["response_time"], dtype=float),
-                queue_lengths=_unpack_array(payload["queue_lengths"], dtype=float),
-                residence_times=_unpack_array(payload["residence_times"], dtype=float),
-                utilizations=_unpack_array(payload["utilizations"], dtype=float),
-                station_names=tuple(str(n) for n in payload["station_names"]),
-                think_times=_unpack_array(payload["think_times"], dtype=float),
-                solver=str(payload["solver"]),
-                demands_used=_maybe_unpack(payload["demands_used"]),
-                backend=payload.get("backend"),
-                failures=_decode_failures(payload),
-            )
-        if kind == "multiclass-stack":
-            return BatchedMultiClassResult(
-                populations=tuple(int(n) for n in payload["populations"]),
-                class_names=tuple(str(n) for n in payload["class_names"]),
-                throughput=_unpack_array(payload["throughput"], dtype=float),
-                response_time=_unpack_array(payload["response_time"], dtype=float),
-                queue_lengths=_unpack_array(payload["queue_lengths"], dtype=float),
-                queue_lengths_by_class=_unpack_array(
-                    payload["queue_lengths_by_class"], dtype=float
-                ),
-                utilizations=_unpack_array(payload["utilizations"], dtype=float),
-                station_names=tuple(str(n) for n in payload["station_names"]),
-                think_times=_unpack_array(payload["think_times"], dtype=float),
-                solver=str(payload["solver"]),
-                demands_used=_maybe_unpack(payload["demands_used"]),
-                backend=payload.get("backend"),
-                failures=_decode_failures(payload),
-            )
-        if kind == "multiclass-trajectory-stack":
-            return BatchedMultiClassTrajectory(
-                class_names=tuple(str(n) for n in payload["class_names"]),
-                station_names=tuple(str(n) for n in payload["station_names"]),
-                totals=_unpack_array(payload["totals"]),
-                populations=_unpack_array(payload["populations"]),
-                throughput=_unpack_array(payload["throughput"], dtype=float),
-                response_time=_unpack_array(payload["response_time"], dtype=float),
-                utilizations=_unpack_array(payload["utilizations"], dtype=float),
-                think_times=_unpack_array(payload["think_times"], dtype=float),
-                solver=str(payload["solver"]),
-                demands_used=_maybe_unpack(payload["demands_used"]),
-                backend=payload.get("backend"),
-                failures=_decode_failures(payload),
-            )
-        raise ValueError(f"unknown stack-result kind {kind!r}")
+        tag = _STACK_TAGS.get(kind)
+        if tag is None:
+            raise ValueError(f"unknown stack-result kind {kind!r}")
+        arrays = {
+            name: _unpack_array(payload[name])
+            for name in ScenarioStack.containers[tag].LAYOUT
+            if payload.get(name) is not None
+        }
+        return ScenarioStack.from_arrays(
+            arrays, {**payload, "container": tag}, _decode_failures(payload)
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed stack result: {exc}") from None
 

@@ -365,9 +365,10 @@ class SolverServer:
         result, counts = self._classified(
             lambda: solve(scenario, method=method, cache=self.cache, **options)
         )
-        payload = encode_result(result)
         if at is not None:
             payload = {"kind": "at", "solver": result.solver, **result.at(int(at))}
+        else:
+            payload = encode_result(result)
         return payload, _provenance_label(counts)
 
     def _op_solve_stack(self, request):
@@ -407,8 +408,8 @@ class SolverServer:
 
         The remote-sweep workhorse.  Unlike ``solve_stack`` (a summary
         view for interactive clients) this returns every trajectory
-        array bit-exactly, plus the shard's ``start`` offset so the
-        dispatcher can re-assemble ``_concat_results`` order.  Each
+        array bit-exactly (:func:`encode_stack_result`), plus the
+        shard's ``start`` offset in the full stack.  Each
         scenario's wire fingerprint is verified against the
         ``fingerprints`` list the client computed from its *original*
         scenarios — a mismatch means the codec could not express the

@@ -4,7 +4,16 @@ The batched kernels must reproduce the scalar trajectories to <= 1e-10
 on *arbitrary* networks — random station counts, kinds, server counts,
 demands, think times — and parallel sweeps must equal serial sweeps
 exactly.  Hypothesis drives the network generator.
+
+The stack containers' own layout operations — concat, the named-arrays
+view, the checkpoint journal and the wire codec — must round-trip any
+container bit-identically, NaN rows and failure records included.
 """
+
+import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +23,11 @@ from hypothesis import strategies as st
 from repro.core import ClosedNetwork, Station, exact_mva, mvasd, schweitzer_amva
 from repro.core.mvasd import _resolve_demand_functions, precompute_demand_matrix
 from repro.engine import (
+    BatchedMultiClassResult,
+    BatchedMultiClassTrajectory,
+    BatchedMVAResult,
+    ScenarioFailure,
+    SweepCheckpoint,
     batched_exact_mva,
     batched_mvasd,
     batched_schweitzer_amva,
@@ -21,7 +35,9 @@ from repro.engine import (
     parallel_map,
     spawn_seeds,
 )
-from repro.engine.batched import _batched_mvasd_numpy
+from repro.engine.batched import ScenarioStack, _batched_mvasd_numpy
+from repro.serve.protocol import decode_stack_result, encode_stack_result
+from tests.fixtures.stack_compat import assert_same_stack
 
 TOL = 1e-10
 
@@ -238,3 +254,199 @@ def test_precomputed_matrix_equals_per_level_mvasd(varying_net):
     np.testing.assert_array_equal(matrix, by_level)
     result = mvasd(varying_net, n)
     np.testing.assert_array_equal(result.demands_used, matrix)
+
+
+# -- stack containers: concat and the three serialized forms ---------------
+
+#: The fields of each container that carry the scenario axis — spelled out
+#: here rather than read from the containers, so a layout slip shows.
+PER_SCENARIO = {
+    BatchedMVAResult: (
+        "throughput", "response_time", "queue_lengths", "residence_times",
+        "utilizations", "think_times", "demands_used",
+    ),
+    BatchedMultiClassResult: (
+        "throughput", "response_time", "queue_lengths", "queue_lengths_by_class",
+        "utilizations", "demands_used",
+    ),
+    BatchedMultiClassTrajectory: (
+        "throughput", "response_time", "utilizations", "demands_used",
+    ),
+}
+
+
+@st.composite
+def stacks(draw):
+    """Any container: random S/N/K/C, NaN rows, failure records."""
+    kind = draw(st.sampled_from(list(PER_SCENARIO)))
+    s = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=3))
+    c = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    nan_rows = sorted(draw(st.sets(st.integers(min_value=0, max_value=s - 1))))
+    failed = sorted(draw(st.sets(st.integers(min_value=0, max_value=s - 1))))
+    with_demands = draw(st.booleans())
+
+    def rows(*shape):
+        arr = rng.random((s, *shape))
+        arr[nan_rows] = np.nan
+        return arr
+
+    common = dict(
+        station_names=tuple(f"st{i}" for i in range(k)),
+        solver=draw(st.sampled_from(["batched-mvasd", "stacked-linearizer"])),
+        backend=draw(st.sampled_from([None, "serial", "batched"])),
+        failures=tuple(
+            ScenarioFailure(i, f"fp{i}", "mvasd", f"ValueError: bad {i}", i % 3)
+            for i in failed
+        ),
+    )
+    classes = tuple(f"cl{i}" for i in range(c))
+    if kind is BatchedMVAResult:
+        return BatchedMVAResult(
+            populations=np.arange(1, n + 1),
+            throughput=rows(n),
+            response_time=rows(n),
+            queue_lengths=rows(n, k),
+            residence_times=rows(n, k),
+            utilizations=rows(n, k),
+            think_times=rng.random(s),
+            demands_used=rows(n, k) if with_demands else None,
+            **common,
+        )
+    if kind is BatchedMultiClassResult:
+        return BatchedMultiClassResult(
+            populations=tuple(int(p) for p in rng.integers(0, 9, size=c)),
+            class_names=classes,
+            throughput=rows(c),
+            response_time=rows(c),
+            queue_lengths=rows(k),
+            queue_lengths_by_class=rows(k, c),
+            utilizations=rows(k),
+            think_times=rng.random(c),
+            demands_used=rows(k, c) if with_demands else None,
+            **common,
+        )
+    return BatchedMultiClassTrajectory(
+        class_names=classes,
+        totals=np.arange(1, n + 1),
+        populations=rng.integers(0, 5, size=(n, c)),
+        throughput=rows(n, c),
+        response_time=rows(n, c),
+        utilizations=rows(n, k),
+        think_times=rng.random(c),
+        demands_used=rows(n, k, c) if with_demands else None,
+        **common,
+    )
+
+#: The shared array fields, likewise spelled out.
+SHARED = {
+    BatchedMVAResult: ("populations",),
+    BatchedMultiClassResult: ("populations", "think_times"),
+    BatchedMultiClassTrajectory: ("totals", "populations", "think_times"),
+}
+
+
+def _split(stack, cuts):
+    """Sub-stacks between ``cuts``, failure indices local to each part."""
+    bounds = [0, *cuts, len(stack)]
+    parts = []
+    for start, stop in zip(bounds, bounds[1:]):
+        sliced = {}
+        for name in PER_SCENARIO[type(stack)]:
+            arr = getattr(stack, name)
+            sliced[name] = None if arr is None else arr[start:stop]
+        failures = tuple(
+            replace(f, index=f.index - start)
+            for f in stack.failures
+            if start <= f.index < stop
+        )
+        parts.append(replace(stack, **sliced, failures=failures))
+    return parts
+
+
+@given(stack=stacks(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_concat_of_any_split_restores_the_stack(stack, data):
+    s = len(stack)
+    cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=s - 1)))) if s > 1 else []
+    parts = _split(stack, cuts)
+    joined = ScenarioStack.concat(parts, "process-sharded")
+    assert_same_stack(joined, replace(stack, backend="process-sharded"))
+
+
+def test_concat_drops_demands_unless_every_part_has_them():
+    rng = np.random.default_rng(3)
+    full = BatchedMVAResult(
+        populations=np.arange(1, 3),
+        throughput=rng.random((2, 2)),
+        response_time=rng.random((2, 2)),
+        queue_lengths=rng.random((2, 2, 1)),
+        residence_times=rng.random((2, 2, 1)),
+        utilizations=rng.random((2, 2, 1)),
+        station_names=("cpu",),
+        think_times=rng.random(2),
+        solver="batched-mvasd",
+        demands_used=rng.random((2, 2, 1)),
+    )
+    first, second = _split(full, [1])
+    joined = ScenarioStack.concat([first, replace(second, demands_used=None)], "remote")
+    assert joined.demands_used is None
+    assert_same_stack(joined, replace(full, demands_used=None, backend="remote"))
+
+
+@given(stack=stacks())
+@settings(max_examples=80, deadline=None)
+def test_named_arrays_round_trip(stack):
+    arrays, meta = stack.to_arrays()
+    assert json.loads(json.dumps(meta)) == meta
+    assert_same_stack(ScenarioStack.from_arrays(arrays, meta, stack.failures), stack)
+
+
+@given(stack=stacks())
+@settings(max_examples=40, deadline=None)
+def test_checkpoint_record_load_round_trip(stack):
+    clean = replace(stack, failures=())  # parts with failures never journal
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint = SweepCheckpoint(Path(tmp) / "journal.jsonl")
+        checkpoint.record("shard", clean)
+        checkpoint.record("failed", stack)
+        loaded = checkpoint.load()
+    assert sorted(loaded) == (["shard"] if stack.failures else ["failed", "shard"])
+    assert_same_stack(loaded["shard"], clean)
+
+
+@given(stack=stacks())
+@settings(max_examples=80, deadline=None)
+def test_wire_round_trip(stack):
+    line = json.dumps(encode_stack_result(stack))
+    assert_same_stack(decode_stack_result(json.loads(line)), stack)
+
+
+@given(stack=stacks())
+@settings(max_examples=80, deadline=None)
+def test_from_scalars_stacks_survivors_and_nans_the_failed(stack):
+    kind = type(stack)
+    failed = sorted(stack.failed_indices)
+    survivors = {i: stack.scenario(i) for i in range(len(stack)) if i not in failed}
+    given = (*SHARED[kind], "station_names", "solver", "backend")
+    if kind is BatchedMVAResult:
+        given += ("think_times",)  # the scalar results carry think_time
+    else:
+        given += ("class_names",)
+    labels = {name: getattr(stack, name) for name in given}
+    rebuilt = kind.from_scalars(survivors, len(stack), stack.failures, **labels)
+    expected = {}
+    for name in set(PER_SCENARIO[kind]) - set(given):
+        arr = getattr(stack, name)
+        # Only single-class scalar results carry demands.
+        if arr is None or (
+            name == "demands_used" and (kind is not BatchedMVAResult or not survivors)
+        ):
+            expected[name] = None
+            continue
+        arr = np.array(arr, dtype=float)
+        arr[failed] = np.nan
+        expected[name] = arr
+    assert_same_stack(rebuilt, replace(stack, **expected))

@@ -155,6 +155,24 @@ class TestProtocol:
         assert np.array_equal(np.array(wire["throughput"]), result.throughput)
         assert np.array_equal(np.array(wire["queue_lengths"]), result.queue_lengths)
 
+    def test_solve_at_builds_only_the_snapshot(self, monkeypatch):
+        from repro.serve import server as server_mod
+        from repro.solvers import SolverCache
+
+        calls = []
+
+        def counting(result):
+            calls.append(result)
+            return encode_result(result)
+
+        monkeypatch.setattr(server_mod, "encode_result", counting)
+        srv = server_mod.SolverServer(port=0, cache=SolverCache(maxsize=4))
+        request = {"scenario": _scenario_payload(n=25), "method": "exact-mva"}
+        snapshot, _ = srv._op_solve({**request, "at": 25})
+        assert snapshot["kind"] == "at" and calls == []
+        full, _ = srv._op_solve(request)
+        assert full["kind"] == "mva" and len(calls) == 1
+
     def test_error_envelope_mirrors_scenario_failure(self):
         env = error_envelope(7, ValueError("boom"), fingerprint="fp", solver="mvasd")
         assert env["ok"] is False and env["id"] == 7
