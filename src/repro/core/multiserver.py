@@ -33,7 +33,10 @@ amplified through the ``(XD/j)`` chain — at ``C_k = 16`` the recursion
 tracks the exact solution to 1e-13 until ~70 % utilization and then
 blows up.  This is a known property of exact multi-server MVA.  The
 solver therefore carries the **full** marginal vector ``p_k(j | n)``
-for ``j = 0..n`` (:class:`MultiServerState`), for which one can show
+for ``j = 0..n``, renormalized every level (:class:`MultiServerState`;
+``method="recursion"`` and population-axis MVASD run the same steps in
+the batched recursion of :mod:`repro.engine.batched` at ``S = 1``), for
+which one can show
 
     ``(D/C) * (1 + Q + F)  ==  D * sum_{j>=1} (j / min(j, C)) p(j-1 | n-1)``
 
@@ -140,39 +143,6 @@ class MultiServerState:
         if total > 0:
             self._p[: n + 1] /= total
         self._level = n
-
-    def snapshot(self) -> dict:
-        """Serializable copy of the recursion state at the current level.
-
-        Together with :meth:`restore` this lets a solver resume the
-        population recursion from a cached prefix (``resume_from=`` in
-        :func:`repro.core.mvasd.mvasd`) bit-identically: the full
-        marginal vector *is* the recursion state.
-        """
-        return {
-            "servers": self.servers,
-            "level": self._level,
-            "p": self._p[: self._level + 1].copy(),
-        }
-
-    @classmethod
-    def restore(
-        cls, servers: int, max_population: int, p: np.ndarray, level: int
-    ) -> "MultiServerState":
-        """Rebuild a state from :meth:`snapshot` with room to reach ``max_population``."""
-        level = int(level)
-        p = np.asarray(p, dtype=float)
-        if level > max_population:
-            raise ValueError(
-                f"snapshot level {level} exceeds max_population {max_population}"
-            )
-        if p.shape != (level + 1,):
-            raise ValueError(f"snapshot p must have shape ({level + 1},), got {p.shape}")
-        state = cls(servers, max_population)
-        state._p[: level + 1] = p
-        state._p[level + 1 :] = 0.0
-        state._level = level
-        return state
 
     def queue_length(self) -> float:
         """Mean jobs ``Q_k`` at the last updated level (from the marginals)."""
@@ -291,59 +261,9 @@ def exact_multiserver_mva(
             demands_used=result.demands_used,
         )
 
+    from .mvasd import _population_recursion
+
     d = _resolve_demands(network, demands, demand_level, solver="exact-multiserver-mva")
-    k = len(network)
-    z = network.think_time
-    stations = network.stations
-    servers = network.servers()
-
-    states = [
-        MultiServerState(st.servers, max_population) if st.kind == "queue" else None
-        for st in stations
-    ]
-
-    pops = np.arange(1, max_population + 1)
-    xs = np.empty(max_population)
-    rs = np.empty(max_population)
-    qs = np.empty((max_population, k))
-    rks = np.empty((max_population, k))
-    utils = np.empty((max_population, k))
-    prob_hist = {
-        st.name: np.empty((max_population, st.servers))
-        for st in stations
-        if st.servers > 1
-    }
-
-    for i, n in enumerate(pops):
-        r_k = np.empty(k)
-        for idx, st in enumerate(stations):
-            if st.kind == "delay":
-                r_k[idx] = d[idx]
-            else:
-                r_k[idx] = states[idx].residence(int(n), d[idx])
-        r_total = float(r_k.sum())
-        x = n / (r_total + z)
-        for idx, st in enumerate(stations):
-            if st.kind == "queue":
-                states[idx].update(int(n), x, d[idx])
-            if st.servers > 1:
-                prob_hist[st.name][i] = states[idx].marginals()
-        xs[i] = x
-        rs[i] = r_total
-        qs[i] = x * r_k
-        rks[i] = r_k
-        utils[i] = x * d / servers
-
-    return MVAResult(
-        populations=pops,
-        throughput=xs,
-        response_time=rs,
-        queue_lengths=qs,
-        residence_times=rks,
-        utilizations=utils,
-        station_names=network.station_names,
-        think_time=z,
-        solver="exact-multiserver-mva-recursion",
-        marginal_probabilities=prob_hist or None,
-        demands_used=np.tile(d, (max_population, 1)),
+    return _population_recursion(
+        network, np.tile(d, (max_population, 1)), False, "exact-multiserver-mva-recursion"
     )

@@ -11,8 +11,10 @@ multi-server residence-time equation (eq. 11):
     ``R_k = (SS_k^n / C_k) * (1 + Q_k + F_k)``
 
 with the same marginal-probability machinery as Algorithm 2 (but driven
-by ``SS_k^n``).  Two additional variants reproduce the paper's
-baselines and extensions:
+by ``SS_k^n``).  On the population axis the demand matrix is known up
+front, so the recursion is the batched one of :mod:`repro.engine.batched`
+run at ``S = 1`` (compiled kernel or NumPy, the same bits).  Two
+additional variants reproduce the paper's baselines and extensions:
 
 * ``single_server=True`` — the "MVASD: Single Server" baseline of
   Fig. 8: multi-server queues are *normalized* to single-server ones by
@@ -23,7 +25,8 @@ baselines and extensions:
   interpolated against *throughput* instead of concurrency.  Since
   ``X^n`` is not known before the level is solved, each level runs a
   small damped fixed-point iteration ``X -> demands(X) -> X`` seeded
-  with the previous level's throughput.
+  with the previous level's throughput — a Python loop over
+  :class:`~repro.core.multiserver.MultiServerState`.
 
 Demand functions may come from the network's own callable demands, from
 an explicit mapping, or from fitted
@@ -38,7 +41,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .multiserver import MultiServerState
-from .mva import validate_resume
+from .mva import _prefill, validate_resume
 from .network import ClosedNetwork
 from .results import MVAResult
 
@@ -176,18 +179,23 @@ def mvasd(
         raise ValueError(f"demand_axis must be 'population' or 'throughput', got {demand_axis!r}")
 
     fns = _resolve_demand_functions(network, demand_functions)
+    solver = "mvasd-single-server" if single_server else "mvasd"
+    if demand_axis == "population":
+        # Population-axis demands depend only on n, so the whole SS_k^n
+        # matrix is computable before the recursion starts (vectorized per
+        # station).
+        demand_matrix = precompute_demand_matrix(fns, max_population)
+        return _population_recursion(network, demand_matrix, single_server, solver, resume_from)
+    if resume_from is not None:
+        raise ValueError(
+            "mvasd: resume_from requires demand_axis='population' "
+            "(the throughput axis is not level-separable)"
+        )
+
     k = len(network)
     z = network.think_time
     stations = network.stations
     servers = network.servers()
-
-    # Population-axis demands depend only on n, so the whole SS_k^n matrix
-    # is computable before the recursion starts (vectorized per station).
-    demand_matrix = (
-        precompute_demand_matrix(fns, max_population)
-        if demand_axis == "population"
-        else None
-    )
 
     q = np.zeros(k)
     states = (
@@ -212,69 +220,23 @@ def mvasd(
         else {
             st.name: np.empty((max_population, st.servers))
             for st in stations
-            if st.servers > 1
+            if st.kind == "queue" and st.servers > 1
         }
     )
 
-    start = 0
-    if resume_from is not None:
-        solver_name = "mvasd-single-server" if single_server else "mvasd"
-        if demand_axis != "population":
-            raise ValueError(
-                "mvasd: resume_from requires demand_axis='population' "
-                "(the throughput axis is not level-separable)"
-            )
-        prev = resume_from
-        start = validate_resume(prev, max_population, k, z, solver_name)
-        if prev.solver != solver_name:
-            raise ValueError(
-                f"mvasd: resume_from was produced by {prev.solver!r}, "
-                f"this solve is {solver_name!r}"
-            )
-        if prev.demands_used is None or not np.array_equal(
-            np.asarray(prev.demands_used), demand_matrix[:start]
-        ):
-            raise ValueError("mvasd: resume_from demands differ from this solve")
-        if not single_server:
-            fstate = prev.final_state
-            if not isinstance(fstate, Mapping) or "marginals" not in fstate:
-                raise ValueError(
-                    "mvasd: resume_from lacks final_state (prefix slices drop "
-                    "it) — re-solve from scratch or resume the original result"
-                )
-            if int(fstate.get("level", -1)) != start:
-                raise ValueError(
-                    f"mvasd: final_state level {fstate.get('level')} != "
-                    f"resume level {start}"
-                )
-            for idx, st in enumerate(stations):
-                if st.kind != "queue":
-                    continue
-                snap = fstate["marginals"].get(st.name)
-                if snap is None or int(snap["servers"]) != st.servers:
-                    raise ValueError(
-                        f"mvasd: final_state has no matching marginals for "
-                        f"station {st.name!r}"
-                    )
-                states[idx] = MultiServerState.restore(
-                    st.servers, max_population, snap["p"], snap["level"]
-                )
-        xs[:start] = prev.throughput
-        rs[:start] = prev.response_time
-        qs[:start] = prev.queue_lengths
-        rks[:start] = prev.residence_times
-        utils[:start] = prev.utilizations
-        used[:start] = prev.demands_used
-        for name, hist in prob_hist.items():
-            if prev.marginal_probabilities is None or name not in prev.marginal_probabilities:
-                raise ValueError(
-                    f"mvasd: resume_from lacks marginal history for {name!r}"
-                )
-            hist[:start] = prev.marginal_probabilities[name]
-        q = np.array(prev.queue_lengths[-1], dtype=float)
-
-    def level_step(n: int, d: np.ndarray) -> tuple[np.ndarray, float]:
-        """Residence times and their total at level ``n`` for demands ``d``."""
+    x_prev = 0.0
+    for i in range(max_population):
+        n = i + 1
+        # Fixed point in throughput: seed with the previous level's X (or
+        # the zero-contention estimate for the first customer).  The
+        # residence form is linear in the demand vector, so the iteration
+        # only re-scales r_k — the station state is advanced exactly once
+        # per level, after convergence.
+        if x_prev <= 0:
+            d0 = _demands_at(fns, 0.0)
+            x_prev = 1.0 / (float(d0.sum()) + z) if (d0.sum() + z) > 0 else 1.0
+        x = x_prev
+        d = _demands_at(fns, x)
         r_k = np.empty(k)
         for idx, st in enumerate(stations):
             if st.kind == "delay":
@@ -283,46 +245,26 @@ def mvasd(
                 r_k[idx] = (d[idx] / st.servers) * (1.0 + q[idx])
             else:
                 r_k[idx] = states[idx].residence(n, d[idx])
-        return r_k, float(r_k.sum())
-
-    x_prev = 0.0
-    for i in range(start, max_population):
-        n = i + 1
-        if demand_axis == "population":
-            d = demand_matrix[i]
-            r_k, r_total = level_step(n, d)
-            x = n / (r_total + z)
-        else:
-            # Fixed point in throughput: seed with the previous level's X
-            # (or the zero-contention estimate for the first customer).
-            # The residence form is linear in the demand vector, so the
-            # iteration only re-scales r_k — the station state is advanced
-            # exactly once per level, after convergence.
-            if x_prev <= 0:
-                d0 = _demands_at(fns, 0.0)
-                x_prev = 1.0 / (float(d0.sum()) + z) if (d0.sum() + z) > 0 else 1.0
-            x = x_prev
+        r_total = float(r_k.sum())
+        base = np.divide(r_k, d, out=np.zeros(k), where=d > 0)
+        for _ in range(_FP_MAX_ITER):
+            x_new = n / (r_total + z)
+            if abs(x_new - x) <= _FP_TOL * max(1.0, x):
+                x = x_new
+                break
+            x = _FP_DAMPING * x + (1.0 - _FP_DAMPING) * x_new
             d = _demands_at(fns, x)
-            r_k, r_total = level_step(n, d)
-            base = np.divide(r_k, d, out=np.zeros(k), where=d > 0)
-            for _ in range(_FP_MAX_ITER):
-                x_new = n / (r_total + z)
-                if abs(x_new - x) <= _FP_TOL * max(1.0, x):
-                    x = x_new
-                    break
-                x = _FP_DAMPING * x + (1.0 - _FP_DAMPING) * x_new
-                d = _demands_at(fns, x)
-                r_k = base * d
-                r_total = float(r_k.sum())
-            else:
-                x = n / (r_total + z)
+            r_k = base * d
+            r_total = float(r_k.sum())
+        else:
+            x = n / (r_total + z)
 
         q = x * r_k
         if not single_server:
             for idx, st in enumerate(stations):
                 if st.kind == "queue":
                     states[idx].update(n, x, d[idx])
-                if st.servers > 1:
+                if st.name in prob_hist:
                     prob_hist[st.name][i] = states[idx].marginals()
         x_prev = x
         xs[i] = x
@@ -332,20 +274,6 @@ def mvasd(
         utils[i] = x * d / servers
         used[i] = d
 
-    solver = "mvasd-single-server" if single_server else "mvasd"
-    if demand_axis == "throughput":
-        solver += "-throughput"
-    final_state = None
-    if states is not None and demand_axis == "population":
-        final_state = {
-            "solver": solver,
-            "level": max_population,
-            "marginals": {
-                st.name: states[idx].snapshot()
-                for idx, st in enumerate(stations)
-                if st.kind == "queue"
-            },
-        }
     return MVAResult(
         populations=pops,
         throughput=xs,
@@ -355,8 +283,92 @@ def mvasd(
         utilizations=utils,
         station_names=network.station_names,
         think_time=z,
-        solver=solver,
+        solver=solver + "-throughput",
         marginal_probabilities=prob_hist or None,
         demands_used=used,
-        final_state=final_state,
+    )
+
+
+def _population_recursion(
+    network: ClosedNetwork,
+    demand_matrix: np.ndarray,
+    single_server: bool,
+    solver: str,
+    prev: MVAResult | None = None,
+) -> MVAResult:
+    """Population-axis MVASD over ``(N, K)`` demands: the batched recursion at S=1.
+
+    ``prev`` continues a result at ``L < N`` from its queue lengths
+    and marginals, copying levels ``1..L``.  A multi-server ``mvasd``
+    solve keeps each queueing station's ``p(0..N | N)`` in its
+    ``final_state`` for a later resume; other solver labels get none.
+    """
+    from ..engine import native
+    from ..engine.batched import _mvasd_levels
+
+    n_levels, k = demand_matrix.shape
+    start, init_p, init_q = 0, None, None
+    if prev is not None:
+        start = validate_resume(prev, n_levels, k, network.think_time, solver)
+        if prev.solver != solver:
+            raise ValueError(
+                f"mvasd: resume_from was produced by {prev.solver!r}, "
+                f"this solve is {solver!r}"
+            )
+        if prev.demands_used is None or not np.array_equal(
+            np.asarray(prev.demands_used), demand_matrix[:start]
+        ):
+            raise ValueError("mvasd: resume_from demands differ from this solve")
+        init_q = np.asarray(prev.queue_lengths[-1], dtype=float)[None]
+    if prev is not None and not single_server:
+        # A final_state may have been unpickled from disk: check it in full.
+        fstate = prev.final_state
+        if not isinstance(fstate, Mapping) or int(fstate.get("level", -1)) != start:
+            raise ValueError(
+                f"mvasd: resume_from lacks a final_state at its level {start} (prefix "
+                "slices drop it) — re-solve from scratch or resume the original result"
+            )
+        init_p = np.ones((1, k, start + 1))
+        for idx, st in enumerate(network.stations):
+            if st.kind != "queue":
+                continue
+            snap = fstate.get("marginals", {}).get(st.name, {})
+            p = np.asarray(snap.get("p", ()), dtype=float)
+            if (int(snap.get("servers", 0)), int(snap.get("level", -1)), p.shape) != (
+                st.servers, start, (start + 1,)
+            ):
+                raise ValueError(
+                    f"mvasd: final_state has no p(0..{start}) at resume level {start} "
+                    f"for the {st.servers}-server station {st.name!r}"
+                )
+            if st.servers > 1 and st.name not in (prev.marginal_probabilities or {}):
+                raise ValueError(f"mvasd: resume_from lacks marginal history for {st.name!r}")
+            init_p[0, idx] = p
+
+    xs, rs, qs, rks, utils, history, final = _mvasd_levels(
+        native.mvasd_kernel(), network, demand_matrix[None],
+        np.full(1, network.think_time, dtype=float), single_server, start, init_p, init_q,
+        history=True, final=solver == "mvasd",
+    )
+    arrays = (xs[0], rs[0], qs[0], rks[0], utils[0])
+    probs = {name: hist[0] for name, hist in history.items()}
+    if prev is not None:
+        _prefill(prev, arrays)
+        for name, hist in probs.items():
+            hist[:start] = prev.marginal_probabilities[name]
+    if final is not None:
+        marginals = {
+            name: {"servers": int(network[name].servers), "level": n_levels, "p": p[0]}
+            for name, p in final.items()
+        }
+        final = {"solver": solver, "level": n_levels, "marginals": marginals}
+    return MVAResult(
+        np.arange(1, n_levels + 1),
+        *arrays,
+        station_names=network.station_names,
+        think_time=network.think_time,
+        solver=solver,
+        marginal_probabilities=probs or None,
+        demands_used=demand_matrix,
+        final_state=final,
     )

@@ -20,6 +20,7 @@
  */
 
 #include <stdint.h>
+#include <string.h>
 
 #define PW_BLOCKSIZE 128
 
@@ -115,25 +116,31 @@ static void update_marginals(double *p, int64_t n, double xd, int64_t servers)
 }
 
 /*
- * MVASD over S scenarios of N levels and K stations.
+ * MVASD over S scenarios of N levels and K stations, from level `start`.
  *
  * demands   (S, N, K)  per-level demands SS_k^n
  * think     (S,)       think times
  * servers   (K,)       server counts, as doubles
  * is_queue  (K,)       1 for a queueing station, 0 for a delay station
  * weights   (K, N)     j / min(j, C_k) for j = 1..N, per station
+ * init_p    (S, K, start+1)  p(0..start | start), per station
+ * init_q    (S, K)     queue lengths at level `start`
  * marginals (K, N+1)   marginal windows, one per station (work space)
  * r_k, q    (K,)       work space
- * xs, rs    (S, N)     throughput, response time
+ * xs, rs    (S, N)     throughput, response time, from row `start` on
  * qs, rks, utils (S, N, K)
+ * hist      (S, N, K, c_max) or NULL: p(0..C_k-1 | n) of every queueing
+ *           station with C_k > 1, zero above n
+ * final_p   (S, K, N+1) or NULL: every station's p(0..N | N)
  */
 void mvasd_recursion(int64_t s, int64_t n_levels, int64_t k,
                      const double *demands, const double *think,
                      const double *servers, const int8_t *is_queue,
                      int single_server, const double *weights,
+                     int64_t start, const double *init_p, const double *init_q,
                      double *marginals, double *r_k, double *q,
                      double *xs, double *rs, double *qs, double *rks,
-                     double *utils)
+                     double *utils, int64_t c_max, double *hist, double *final_p)
 {
     const int64_t stride = n_levels + 1;
     for (int64_t si = 0; si < s; si++) {
@@ -143,10 +150,11 @@ void mvasd_recursion(int64_t s, int64_t n_levels, int64_t k,
          * update moves the window one slot down, which is the j -> j-1
          * shift of the recursion without moving any data. */
         for (int64_t st = 0; st < k; st++) {
-            marginals[st * stride + n_levels] = 1.0;
-            q[st] = 0.0;
+            memcpy(marginals + st * stride + n_levels - start,
+                   init_p + (si * k + st) * (start + 1), (start + 1) * sizeof(double));
+            q[st] = init_q[si * k + st];
         }
-        for (int64_t i = 0; i < n_levels; i++) {
+        for (int64_t i = start; i < n_levels; i++) {
             const int64_t n = i + 1;
             const double *d = dm + i * k;
             for (int64_t st = 0; st < k; st++) {
@@ -178,6 +186,18 @@ void mvasd_recursion(int64_t s, int64_t n_levels, int64_t k,
                     }
                 }
             }
+            for (int64_t st = 0; st < k && hist != NULL; st++) {
+                if (is_queue[st] && servers[st] > 1) {
+                    const double *p = marginals + st * stride + (n_levels - n);
+                    double *row = hist + ((si * n_levels + i) * k + st) * c_max;
+                    for (int64_t j = 0; j < (int64_t)servers[st]; j++) {
+                        row[j] = (j <= n) ? p[j] : 0.0;
+                    }
+                }
+            }
+        }
+        if (final_p != NULL) {
+            memcpy(final_p + si * k * stride, marginals, k * stride * sizeof(double));
         }
     }
 }

@@ -760,34 +760,25 @@ class _BatchedMultiServerState:
     Carries the full marginal vectors ``p(j | n)`` of one multi-server
     station for all S scenarios as a ``(S, N+1)`` array and applies the
     scalar class's residence/update/renormalize steps elementwise along
-    the scenario axis — same operations, same order, so the trajectories
-    match the scalar recursion to rounding.
+    the scenario axis, from ``p(0..L | L)`` ``p0`` ``(S, L+1)``.
     """
 
-    __slots__ = ("servers", "_p", "_weights", "_level")
+    __slots__ = ("servers", "_p", "_weights")
 
-    def __init__(self, servers: int, max_population: int, n_scenarios: int) -> None:
+    def __init__(self, servers: int, max_population: int, p0: np.ndarray) -> None:
         self.servers = int(servers)
-        self._p = np.zeros((n_scenarios, max_population + 1))
-        self._p[:, 0] = 1.0  # empty network, every scenario
+        # At least C columns, so p(0..C-1) can always be read off (zero above n).
+        self._p = np.zeros((p0.shape[0], max(max_population + 1, self.servers)))
+        self._p[:, : p0.shape[1]] = p0
         js = np.arange(1, max_population + 1, dtype=float)
         self._weights = js / np.minimum(js, self.servers)
-        self._level = 0
 
     def residence(self, n: int, demand: np.ndarray) -> np.ndarray:
         """``R_k`` per scenario at population ``n``; ``demand`` is ``(S,)``."""
-        if n != self._level + 1:
-            raise ValueError(
-                f"out-of-order recursion: expected n={self._level + 1}, got {n}"
-            )
         return demand * (self._weights[:n] * self._p[:, :n]).sum(axis=1)
 
     def update(self, n: int, x: np.ndarray, demand: np.ndarray) -> None:
         """Advance all scenarios' marginals once ``X^n`` ``(S,)`` is known."""
-        if n != self._level + 1:
-            raise ValueError(
-                f"out-of-order recursion: expected n={self._level + 1}, got {n}"
-            )
         mu_scale = x * demand
         js = np.arange(1, n + 1, dtype=float)
         new_tail = (mu_scale[:, None] / np.minimum(js, self.servers)) * self._p[:, :n]
@@ -796,7 +787,6 @@ class _BatchedMultiServerState:
         total = self._p[:, : n + 1].sum(axis=1)
         positive = total > 0
         self._p[positive, : n + 1] /= total[positive, None]
-        self._level = n
 
 
 def batched_mvasd(
@@ -835,7 +825,11 @@ def batched_mvasd(
 
     The population recursion runs in the compiled kernel of
     :mod:`repro.engine.native` when it can be built, and in NumPy
-    otherwise; both compute the same bits.
+    otherwise; both compute the same bits.  The same recursion, run at
+    ``S = 1``, solves every population-axis
+    :func:`~repro.core.mvasd.mvasd` and
+    ``exact_multiserver_mva(method="recursion")``, so a scenario's row
+    here equals that scalar solve bit for bit.
     """
     return _batched_mvasd(
         network, max_population, demand_matrices, single_server, think_times, mask,
@@ -890,11 +884,9 @@ def _batched_mvasd(
     s = matrices.shape[0]
     z = _think_stack(network, think_times, s, mask=mask)
 
-    if kernel is None:
-        levels = _mvasd_levels_numpy(network, matrices, z, single_server)
-    else:
-        levels = _mvasd_levels_native(kernel, network, matrices, z, single_server)
-    xs, rs, qs, rks, utils = levels
+    xs, rs, qs, rks, utils, _, _ = _mvasd_levels(
+        kernel, network, matrices, z, single_server
+    )
 
     if mask is not None:
         _nan_rows(mask, xs, rs, qs, rks, utils, matrices)
@@ -913,11 +905,64 @@ def _batched_mvasd(
     )
 
 
-def _mvasd_levels_native(kernel, network, matrices, z, single_server):
-    """The MVASD recursion in one call of the compiled ``mvasd_recursion``.
+def _mvasd_levels(
+    kernel, network, matrices, z, single_server, start=0, init_p=None, init_q=None,
+    history=False, final=False,
+):
+    """The MVASD population recursion over levels ``start+1..N`` of S scenarios.
 
-    Takes and returns the arrays of :func:`_mvasd_levels_numpy`; the C
-    routine performs the same floating-point operations in the same
+    Runs in the compiled ``kernel``, or in NumPy when it is ``None``: the
+    same bits.  Starts from marginals ``init_p`` ``(S, K, start+1)`` and
+    queue lengths ``init_q`` ``(S, K)`` (by default all ones and zeros:
+    the empty network at ``start = 0``).  Returns ``(xs, rs, qs, rks,
+    utils, history, final)``, trajectories set from row ``start`` on.
+    Without ``single_server``, ``history`` asks for a map of each queueing
+    station with ``C_k > 1`` to its ``p(0..C_k-1 | n)`` ``(S, N, C_k)``
+    and ``final`` for one of each queueing station to its ``p(0..N | N)``
+    ``(S, N+1)``; otherwise they come back as ``{}`` and ``None``.
+    """
+    s, n_levels, k = matrices.shape
+    stations = network.stations
+    init_p = np.ones((s, k, start + 1)) if init_p is None else init_p
+    init_q = np.zeros((s, k)) if init_q is None else init_q
+    # The kernel reads start+1 marginals per station from init_p.
+    if not 0 <= start <= n_levels or (init_p.shape, init_q.shape) != ((s, k, start + 1), (s, k)):
+        raise ValueError(
+            f"mvasd: initial state of shapes {init_p.shape} and {init_q.shape} at level "
+            f"{start}, expected {(s, k, start + 1)} and {(s, k)} at a level in 0..{n_levels}"
+        )
+    recorded = [st.kind == "queue" and st.servers > 1 for st in stations]
+    keep = not single_server
+    levels = (
+        np.empty((s, n_levels)),
+        np.empty((s, n_levels)),
+        *(np.empty((s, n_levels, k)) for _ in range(3)),
+    )
+    c_max = max(network.servers()) if keep and history and any(recorded) else 0
+    hist = np.empty((s, n_levels, k, c_max)) if c_max else None
+    final_p = np.empty((s, k, n_levels + 1)) if keep and final else None
+    args = (network, matrices, z, single_server, start, init_p, init_q)
+    if kernel is None:
+        _mvasd_levels_numpy(*args, levels, hist, final_p)
+    else:
+        _mvasd_levels_native(kernel, *args, levels, hist, final_p)
+    history = {
+        st.name: hist[:, :, i, : st.servers].copy()
+        for i, st in enumerate(stations)
+        if hist is not None and recorded[i]
+    }
+    final_marginals = None if final_p is None else {
+        st.name: final_p[:, i] for i, st in enumerate(stations) if st.kind == "queue"
+    }
+    return (*levels, history, final_marginals)
+
+
+def _mvasd_levels_native(
+    kernel, network, matrices, z, single_server, start, init_p, init_q, levels, hist, final_p
+):
+    """:func:`_mvasd_levels_numpy` in one call of the compiled ``mvasd_recursion``.
+
+    The C routine performs the same floating-point operations in the same
     order, scenario by scenario (see ``_mvasd.c``).
     """
     s, n_levels, k = matrices.shape
@@ -926,61 +971,54 @@ def _mvasd_levels_native(kernel, network, matrices, z, single_server):
     js = np.arange(1, n_levels + 1, dtype=float)
     # The per-job residence weights of _BatchedMultiServerState, per station.
     weights = js / np.minimum(js, servers[:, None])
-    demands = np.ascontiguousarray(matrices)
-    think = np.ascontiguousarray(z, dtype=float)
-    xs = np.empty((s, n_levels))
-    rs = np.empty((s, n_levels))
-    qs = np.empty((s, n_levels, k))
-    rks = np.empty((s, n_levels, k))
-    utils = np.empty((s, n_levels, k))
+    ffi = kernel.ffi
 
-    buf = kernel.ffi.from_buffer
+    def buf(arr):
+        return ffi.from_buffer("double[]", np.ascontiguousarray(arr, dtype=float))
+
+    def work(arr):
+        return ffi.NULL if arr is None else ffi.from_buffer("double[]", arr, require_writable=True)
+
     kernel.lib.mvasd_recursion(
-        s, n_levels, k,
-        buf("double[]", demands), buf("double[]", think),
-        buf("double[]", servers), buf("int8_t[]", is_queue),
-        int(bool(single_server)), buf("double[]", weights),
-        buf("double[]", np.empty((k, n_levels + 1)), require_writable=True),
-        buf("double[]", np.empty(k), require_writable=True),
-        buf("double[]", np.empty(k), require_writable=True),
-        *(buf("double[]", out, require_writable=True) for out in (xs, rs, qs, rks, utils)),
+        s, n_levels, k, buf(matrices), buf(z), buf(servers),
+        ffi.from_buffer("int8_t[]", is_queue), int(bool(single_server)), buf(weights),
+        start, buf(init_p), buf(init_q),
+        work(np.zeros((k, n_levels + 1))), work(np.empty(k)), work(np.empty(k)),
+        *(work(arr) for arr in levels),
+        0 if hist is None else hist.shape[3], work(hist), work(final_p),
     )
-    return xs, rs, qs, rks, utils
 
 
-def _mvasd_levels_numpy(network, matrices, z, single_server):
+def _mvasd_levels_numpy(
+    network, matrices, z, single_server, start, init_p, init_q, levels, hist, final_p
+):
     """The MVASD population recursion over all scenarios, level by level.
 
-    Returns ``(xs, rs, qs, rks, utils)``: throughput and response time
-    ``(S, N)``, queue lengths, residence times and utilizations
-    ``(S, N, K)``.
+    Fills ``levels`` — throughput and response time ``(S, N)``, queue
+    lengths, residence times and utilizations ``(S, N, K)`` — from row
+    ``start`` on, and ``hist`` and ``final_p`` when they are not
+    ``None``.
     """
     s, n_levels, k = matrices.shape
     stations = network.stations
     servers = network.servers().astype(float)
+    xs, rs, qs, rks, utils = levels
 
     states = (
         None
         if single_server
         else [
-            _BatchedMultiServerState(st.servers, n_levels, s)
+            _BatchedMultiServerState(st.servers, n_levels, init_p[:, idx])
             if st.kind == "queue"
             else None
-            for st in stations
+            for idx, st in enumerate(stations)
         ]
     )
 
-    pops = np.arange(1, n_levels + 1)
-    xs = np.empty((s, n_levels))
-    rs = np.empty((s, n_levels))
-    qs = np.empty((s, n_levels, k))
-    rks = np.empty((s, n_levels, k))
-    utils = np.empty((s, n_levels, k))
-
-    q = np.zeros((s, k))
+    q = init_q
     r_k = np.empty((s, k))
-    for i, n in enumerate(pops):
-        n = int(n)
+    for i in range(start, n_levels):
+        n = i + 1
         d = matrices[:, i, :]
         for idx, st in enumerate(stations):
             col = d[:, idx]
@@ -997,12 +1035,17 @@ def _mvasd_levels_numpy(network, matrices, z, single_server):
             for idx, st in enumerate(stations):
                 if st.kind == "queue":
                     states[idx].update(n, x, d[:, idx])
+                    if hist is not None and st.servers > 1:
+                        hist[:, i, idx, : st.servers] = states[idx]._p[:, : st.servers]
         xs[:, i] = x
         rs[:, i] = r_total
         qs[:, i] = q
         rks[:, i] = r_k
         utils[:, i] = x[:, None] * d / servers
-    return xs, rs, qs, rks, utils
+    if final_p is not None:
+        for idx, st in enumerate(stations):
+            if st.kind == "queue":
+                final_p[:, idx] = states[idx]._p[:, : n_levels + 1]
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,10 @@ void mvasd_recursion(int64_t s, int64_t n_levels, int64_t k,
                      const double *demands, const double *think,
                      const double *servers, const int8_t *is_queue,
                      int single_server, const double *weights,
+                     int64_t start, const double *init_p, const double *init_q,
                      double *marginals, double *r_k, double *q,
                      double *xs, double *rs, double *qs, double *rks,
-                     double *utils);
+                     double *utils, int64_t c_max, double *hist, double *final_p);
 """
 
 #: Bit identity with the NumPy loop needs plain IEEE arithmetic in source

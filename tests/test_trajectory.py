@@ -11,11 +11,12 @@ documented tolerance exists.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.amva import schweitzer_amva
-from repro.core.multiserver import MultiServerState
 from repro.core.mva import exact_mva
 from repro.core.mvasd import mvasd
 from repro.solvers import Scenario, SolverCache, TrajectoryStore, solve
@@ -147,29 +148,39 @@ class TestResume:
             mvasd(multiserver_net, 40, demand_functions=fns, resume_from=prev)
 
 
-class TestMultiServerStateSnapshot:
-    def test_snapshot_restore_round_trip(self):
-        a = MultiServerState(4, 30)
-        b = None
-        for n in range(1, 16):
-            x = n / (1.0 + a.residence(n, 0.1))
-            a.update(n, x, 0.1)
-        snap = a.snapshot()
-        b = MultiServerState.restore(4, 60, snap["p"], snap["level"])
-        # identical continuation from both objects
-        ra = a.residence(16, 0.1)
-        rb = b.residence(16, 0.1)
-        assert ra == rb
-        assert a.queue_length() == b.queue_length()
+class TestResumeFromStoredState:
+    """A ``final_state`` can come back from disk: ``mvasd`` checks it on resume."""
 
-    def test_restore_validates_shape_and_level(self):
-        state = MultiServerState(2, 10)
-        snap = state.snapshot()
-        with pytest.raises(ValueError, match="max_population"):
-            MultiServerState.restore(2, 3, np.zeros(5), 4)
-        with pytest.raises(ValueError, match="shape"):
-            MultiServerState.restore(2, 10, np.zeros(7), 4)
-        MultiServerState.restore(2, 10, snap["p"], snap["level"])  # ok
+    @staticmethod
+    def _tampered(net, **changes):
+        prev = mvasd(net, 20, demand_functions=_varying_fns())
+        cpu = {**prev.final_state["marginals"]["cpu"], **changes}
+        marginals = {**prev.final_state["marginals"], "cpu": cpu}
+        return replace(prev, final_state={**prev.final_state, "marginals": marginals})
+
+    def _resume(self, net, prev):
+        return mvasd(net, 40, demand_functions=_varying_fns(), resume_from=prev)
+
+    def test_untampered_state_resumes(self, multiserver_net):
+        resumed = self._resume(multiserver_net, self._tampered(multiserver_net))
+        full = mvasd(multiserver_net, 40, demand_functions=_varying_fns())
+        assert np.array_equal(resumed.throughput, full.throughput)
+
+    @pytest.mark.parametrize("level", [19, 60])
+    def test_wrong_level_rejected(self, multiserver_net, level):
+        prev = self._tampered(multiserver_net, level=level)
+        with pytest.raises(ValueError, match="resume level 20"):
+            self._resume(multiserver_net, prev)
+
+    def test_wrong_p_shape_rejected(self, multiserver_net):
+        prev = self._tampered(multiserver_net, p=np.zeros(20))
+        with pytest.raises(ValueError, match=r"p\(0\.\.20\)"):
+            self._resume(multiserver_net, prev)
+
+    def test_wrong_server_count_rejected(self, multiserver_net):
+        prev = self._tampered(multiserver_net, servers=2)
+        with pytest.raises(ValueError, match="4-server station 'cpu'"):
+            self._resume(multiserver_net, prev)
 
 
 # -- parity against the issue's explicit ≤1e-10 bound -------------------------
