@@ -26,38 +26,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .mva import _prefill, _resolve_demands, validate_resume
+from .mva import _constant_demand_solve
 from .network import ClosedNetwork, Station
 from .results import MVAResult
 
 __all__ = ["schweitzer_amva", "seidmann_transform", "approximate_multiserver_mva"]
-
-_MAX_ITER = 10_000
-_TOL = 1e-10
-
-
-def _schweitzer_fixed_point(
-    d: np.ndarray,
-    is_queue: np.ndarray,
-    z: float,
-    n: int,
-    q0: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Solve the Schweitzer fixed point at population ``n``.
-
-    Returns ``(X, R_k, Q_k)``.  Seeded with ``q0`` (the previous
-    population's solution) for fast convergence along a sweep.
-    """
-    q = q0.copy()
-    for _ in range(_MAX_ITER):
-        q_arr = (n - 1.0) / n * q
-        r_k = np.where(is_queue, d * (1.0 + q_arr), d)
-        x = n / (float(r_k.sum()) + z)
-        q_new = x * r_k
-        if np.max(np.abs(q_new - q)) <= _TOL * max(1.0, float(np.max(q_new))):
-            return x, r_k, q_new
-        q = q_new
-    return x, r_k, q_new  # pragma: no cover - convergence is geometric
 
 
 def schweitzer_amva(
@@ -74,56 +47,15 @@ def schweitzer_amva(
     trajectory shape as the exact solvers.  Because level ``n`` depends
     on earlier levels only through that seed, ``resume_from=`` a
     previous result at ``L < N`` continues the sweep bit-identically
-    from level ``L + 1``.
+    from level ``L + 1``.  The fixed point is
+    :func:`repro.engine.batched.batched_schweitzer_amva`'s, run for one
+    scenario.
     """
-    if max_population < 1:
-        raise ValueError(f"max_population must be >= 1, got {max_population}")
-    d = _resolve_demands(network, demands, demand_level, solver="schweitzer-amva")
-    k = len(network)
-    z = network.think_time
-    is_queue = np.array([st.kind == "queue" for st in network.stations])
-    servers = network.servers().astype(float)
+    from ..engine.batched import _schweitzer_levels
 
-    pops = np.arange(1, max_population + 1)
-    xs = np.empty(max_population)
-    rs = np.empty(max_population)
-    qs = np.empty((max_population, k))
-    rks = np.empty((max_population, k))
-    utils = np.empty((max_population, k))
-
-    start = 0
-    q = np.full(k, 1.0 / k)
-    if resume_from is not None:
-        start = validate_resume(resume_from, max_population, k, z, "schweitzer-amva")
-        if resume_from.demands_used is None or not np.array_equal(
-            np.asarray(resume_from.demands_used[-1]), d
-        ):
-            raise ValueError(
-                "schweitzer-amva: resume_from demands differ from this solve"
-            )
-        _prefill(resume_from, (xs, rs, qs, rks, utils))
-        q = np.array(resume_from.queue_lengths[-1], dtype=float)
-
-    for i in range(start, max_population):
-        n = i + 1
-        x, r_k, q = _schweitzer_fixed_point(d, is_queue, z, int(n), q)
-        xs[i] = x
-        rs[i] = float(r_k.sum())
-        qs[i] = q
-        rks[i] = r_k
-        utils[i] = x * d / servers
-
-    return MVAResult(
-        populations=pops,
-        throughput=xs,
-        response_time=rs,
-        queue_lengths=qs,
-        residence_times=rks,
-        utilizations=utils,
-        station_names=network.station_names,
-        think_time=z,
-        solver="schweitzer-amva",
-        demands_used=np.tile(d, (max_population, 1)),
+    return _constant_demand_solve(
+        _schweitzer_levels, "schweitzer-amva", network, max_population, demands,
+        demand_level, resume_from,
     )
 
 

@@ -20,11 +20,11 @@ O(N K).
 This recursion is also the workhorse of hierarchical composition
 (:mod:`repro.solvers.fes`): a flow-equivalent service center is exactly
 a station with a tabulated ``mu(j)`` law, supplied here through
-``rate_tables``.  The inner ``j``-loop is vectorized across stations —
-the per-level work is a handful of ``(K, n)`` array operations — and
-the recursion carries its marginal state in ``final_state`` so
-``resume_from=`` extends a ``1..L`` trajectory to ``1..N`` without
-recomputing the prefix.
+``rate_tables``.  The recursion is
+:func:`repro.engine.batched.batched_ld_mva`'s, run for one scenario:
+the per-level work is a handful of ``(K, n)`` array operations, and
+the marginal state rides in ``final_state`` so ``resume_from=`` extends
+a ``1..L`` trajectory to ``1..N`` without recomputing the prefix.
 
 Demands must be constant over the sweep (this is a fixed-demand exact
 solver); combine with MVASD-style outer sweeps by re-solving per level
@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .mva import _prefill, _resolve_demands, validate_resume
+from .mva import _resolve_demands, _scalar_result, validate_resume
 from .network import ClosedNetwork
 from .results import MVAResult
 
@@ -153,94 +153,41 @@ def exact_load_dependent_mva(
         complementing the per-level scalars.  ``final_state`` carries
         the full marginal matrix for ``resume_from=``.
     """
+    from ..engine.batched import _ld_mva_levels
+
     if max_population < 1:
         raise ValueError(f"max_population must be >= 1, got {max_population}")
     d = _resolve_demands(network, demands, demand_level, solver="ld-mva")
-    k = len(network)
-    z = network.think_time
-    stations = network.stations
-    servers = network.servers().astype(float)
     big_n = max_population
-    is_queue = np.array([st.kind == "queue" for st in stations])
-
     mu = build_rate_tables(network, d, big_n, rates, rate_tables)
-    # R_k(n) weight table j / mu_k(j); +inf rates (delay, idle stations)
-    # contribute zero, so the np.where below restores the delay demand.
-    weights = np.arange(1, big_n + 1, dtype=float) / mu
-
-    # p[idx, j] = p_k(j | n) for the current n; starts at n = 0.
-    p = np.zeros((k, big_n + 1))
-    p[:, 0] = 1.0
-
-    pops = np.arange(1, big_n + 1)
-    xs = np.empty(big_n)
-    rs = np.empty(big_n)
-    qs = np.empty((big_n, k))
-    rks = np.empty((big_n, k))
-    utils = np.empty((big_n, k))
-
-    start = 0
+    start, init_p = 0, None
     if resume_from is not None:
-        start = _restore(resume_from, big_n, k, z, d, mu, p, (xs, rs, qs, rks, utils))
-
-    for i in range(start, big_n):
-        n = i + 1
-        r_queue = (weights[:, :n] * p[:, :n]).sum(axis=1)
-        r_k = np.where(is_queue, r_queue, d)
-        r_total = float(r_k.sum())
-        x = n / (r_total + z)
-
-        # p(j|n) = (X/mu(j)) p(j-1|n-1); build the tail fresh before
-        # assigning — p still holds the n-1 values.  Divide-first keeps
-        # the rounding identical to the scalar reference per element.
-        tail = (x / mu[:, :n]) * p[:, :n]
-        p[:, 1 : n + 1] = tail
-        p[:, 0] = np.maximum(0.0, 1.0 - tail.sum(axis=1))
-
-        xs[i] = x
-        rs[i] = r_total
-        rks[i] = r_k
-        qs[i] = x * r_k
-        utils[i] = x * d / servers
-
-    prob_hist = {
-        st.name: p[idx][np.newaxis, :].copy()
-        for idx, st in enumerate(stations)
-        if st.kind == "queue"
-    }
-    return MVAResult(
-        populations=pops,
-        throughput=xs,
-        response_time=rs,
-        queue_lengths=qs,
-        residence_times=rks,
-        utilizations=utils,
-        station_names=network.station_names,
-        think_time=z,
+        start, init_p = _resume_state(resume_from, big_n, network, d, mu)
+    levels, p = _ld_mva_levels(
+        network, d[None], mu[None], np.full(1, network.think_time), big_n, start, init_p
+    )
+    p = p[0]
+    return _scalar_result(
+        network,
+        levels,
+        resume_from,
         solver=_SOLVER_NAME,
-        marginal_probabilities=prob_hist,
-        demands_used=np.tile(d, (big_n, 1)),
-        final_state={
-            "solver": _SOLVER_NAME,
-            "level": big_n,
-            "marginals": p.copy(),
-            "mu": mu.copy(),
+        marginal_probabilities={
+            st.name: p[idx][np.newaxis, :].copy()
+            for idx, st in enumerate(network.stations)
+            if st.kind == "queue"
         },
+        demands_used=np.tile(d, (big_n, 1)),
+        final_state={"solver": _SOLVER_NAME, "level": big_n, "marginals": p.copy(), "mu": mu},
     )
 
 
-def _restore(
-    prev: MVAResult,
-    max_population: int,
-    k: int,
-    think_time: float,
-    d: np.ndarray,
-    mu: np.ndarray,
-    p: np.ndarray,
-    arrays: tuple[np.ndarray, ...],
-) -> int:
-    """Validate ``resume_from`` and prefill state; return the start level."""
-    level = validate_resume(prev, max_population, k, think_time, "ld-mva")
+def _resume_state(
+    prev: MVAResult, max_population: int, network: ClosedNetwork, d: np.ndarray, mu: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """Validate ``resume_from``; return its level ``L`` and marginals ``(1, K, L+1)``."""
+    k = len(network)
+    level = validate_resume(prev, max_population, k, network.think_time, "ld-mva")
     if prev.solver != _SOLVER_NAME:
         raise ValueError(
             f"ld-mva: resume_from was produced by {prev.solver!r}, "
@@ -262,9 +209,7 @@ def _restore(
     prev_mu = np.asarray(state["mu"], dtype=float)
     if not np.array_equal(prev_mu, mu[:, :level]):
         raise ValueError("ld-mva: resume_from service rates differ from this solve")
-    _prefill(prev, arrays)
-    p[:, : level + 1] = marginals
-    return level
+    return level, marginals[None]
 
 
 def _reference_exact_ld_mva(

@@ -12,13 +12,14 @@ such mixes can be modelled:
 
 Stations are single-server (or delay); combine with
 :func:`repro.core.amva.seidmann_transform` for multi-core CPUs.  Cost is
-O(K * prod_c (N_c + 1)), so keep class populations modest.
+O(K * prod_c (N_c + 1)), so keep class populations modest.  The lattice
+walk is :func:`repro.engine.batched.batched_exact_multiclass`'s, run for
+one scenario.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -94,68 +95,19 @@ def exact_multiclass_mva(
     MultiClassResult
         Metrics at the full population vector.
     """
+    from ..engine.batched import (
+        _exact_multiclass_lattice,
+        _lattice_inputs,
+        _multiclass_demand_stack,
+    )
+
+    solver = "exact-multiclass"
     d = np.asarray(demands, dtype=float)
     if d.ndim != 2:
-        raise ValueError(f"demands must be a (K, C) matrix, got shape {d.shape}")
-    if np.any(d < 0):
-        raise ValueError("demands must be non-negative")
-    k, c = d.shape
-    pops = tuple(int(p) for p in populations)
-    if len(pops) != c or any(p < 0 for p in pops):
-        raise ValueError(f"populations must be {c} non-negative integers, got {populations}")
-    z = np.asarray(think_times, dtype=float)
-    if z.shape != (c,) or np.any(z < 0):
-        raise ValueError(f"think_times must be {c} non-negative values")
-    names = tuple(station_names) if station_names else tuple(f"station-{i}" for i in range(k))
-    if len(names) != k:
-        raise ValueError(f"expected {k} station names")
-    kinds = tuple(station_kinds) if station_kinds else ("queue",) * k
-    if len(kinds) != k or any(kd not in ("queue", "delay") for kd in kinds):
-        raise ValueError("station_kinds must be 'queue'/'delay' per station")
-    is_queue = np.array([kd == "queue" for kd in kinds])
-
-    if sum(pops) == 0:
-        zero_c = np.zeros(c)
-        return MultiClassResult(
-            pops, zero_c, zero_c.copy(), np.zeros(k), np.zeros((k, c)),
-            np.zeros(k), names, tuple(z),
-        )
-
-    # Dense table of station queue lengths Q_k(n) over the population lattice.
-    shape = tuple(p + 1 for p in pops)
-    q_table = np.zeros(shape + (k,))
-    last_x = np.zeros(c)
-    last_r = np.zeros(c)
-    last_qkc = np.zeros((k, c))
-
-    for n in product(*(range(p + 1) for p in pops)):
-        if sum(n) == 0:
-            continue
-        r_kc = np.zeros((k, c))
-        x_c = np.zeros(c)
-        for ci in range(c):
-            if n[ci] == 0:
-                continue
-            prev = list(n)
-            prev[ci] -= 1
-            q_prev = q_table[tuple(prev)]
-            r_kc[:, ci] = np.where(is_queue, d[:, ci] * (1.0 + q_prev), d[:, ci])
-            x_c[ci] = n[ci] / (z[ci] + float(r_kc[:, ci].sum()))
-        q_kc = r_kc * x_c[np.newaxis, :]
-        q_table[n] = q_kc.sum(axis=1)
-        if n == pops:
-            last_x = x_c
-            last_r = r_kc.sum(axis=0)
-            last_qkc = q_kc
-
-    util = (d * last_x[np.newaxis, :]).sum(axis=1)
-    return MultiClassResult(
-        populations=pops,
-        throughput=last_x,
-        response_time=last_r,
-        queue_lengths=last_qkc.sum(axis=1),
-        queue_lengths_by_class=last_qkc,
-        utilizations=util,
-        station_names=names,
-        think_times=tuple(z),
+        raise ValueError(f"{solver}: demands must be a (K, C) matrix, got shape {d.shape}")
+    d, _ = _multiclass_demand_stack(d, d.shape, solver, None)
+    pops, names, is_queue, z, _ = _lattice_inputs(
+        d, populations, think_times, station_names, station_kinds, None, solver
     )
+    arrays = _exact_multiclass_lattice(d, pops, z, is_queue)
+    return MultiClassResult(pops, *(arr[0] for arr in arrays), names, tuple(z))

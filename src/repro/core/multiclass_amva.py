@@ -38,9 +38,6 @@ __all__ = ["MultiClassTrajectory", "multiclass_mvasd", "bard_schweitzer"]
 
 DemandFn = Callable[[float], float]
 
-_MAX_ITER = 50_000
-_TOL = 1e-10
-
 
 def bard_schweitzer(
     demands: np.ndarray,
@@ -49,6 +46,10 @@ def bard_schweitzer(
     station_kinds: Sequence[str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bard-Schweitzer fixed point at one population vector.
+
+    The iteration is the one every step of
+    :func:`repro.engine.batched.batched_multiclass_mvasd` runs, for one
+    scenario.
 
     Parameters
     ----------
@@ -65,44 +66,22 @@ def bard_schweitzer(
         Per-class throughput and response time, and the per-station x
         per-class queue matrix.
     """
-    d = np.asarray(demands, dtype=float)
-    if d.ndim != 2 or np.any(d < 0):
-        raise ValueError("demands must be a non-negative (K, C) matrix")
-    k, c = d.shape
-    n_c = np.asarray(populations, dtype=float)
-    z = np.asarray(think_times, dtype=float)
-    if n_c.shape != (c,) or np.any(n_c < 0):
-        raise ValueError(f"populations must be {c} non-negative values")
-    if z.shape != (c,) or np.any(z < 0):
-        raise ValueError(f"think_times must be {c} non-negative values")
-    kinds = tuple(station_kinds) if station_kinds else ("queue",) * k
-    is_queue = np.array([kd == "queue" for kd in kinds])
+    from ..engine.batched import _bard_schweitzer, _class_axes, _multiclass_demand_stack
 
-    active = n_c > 0
-    q_kc = np.zeros((k, c))
-    if active.any():
-        q_kc[:, active] = n_c[active] / k  # even initial spread
-    x_c = np.zeros(c)
-    r_kc = np.zeros((k, c))
-    for _ in range(_MAX_ITER):
-        q_total = q_kc.sum(axis=1)
-        r_kc = np.empty((k, c))
-        for ci in range(c):
-            if not active[ci]:
-                r_kc[:, ci] = 0.0
-                continue
-            # arrival-theorem queue with one class-ci customer removed
-            removed = q_kc[:, ci] / n_c[ci]
-            q_arr = np.maximum(q_total - removed, 0.0)
-            r_kc[:, ci] = np.where(is_queue, d[:, ci] * (1.0 + q_arr), d[:, ci])
-        r_c = r_kc.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_c = np.where(active, n_c / (z + r_c), 0.0)
-        q_new = r_kc * x_c[np.newaxis, :]
-        if np.max(np.abs(q_new - q_kc)) <= _TOL * max(1.0, float(np.max(q_new))):
-            return x_c, r_c, q_new
-        q_kc = q_new
-    return x_c, r_c, q_new  # pragma: no cover - geometric convergence
+    solver = "bard-schweitzer"
+    d = np.asarray(demands, dtype=float)
+    if d.ndim != 2:
+        raise ValueError(f"{solver}: demands must be a non-negative (K, C) matrix")
+    d, _ = _multiclass_demand_stack(d, d.shape, solver, None)
+    k, c = d.shape[1:]
+    n_c = np.asarray(populations, dtype=float)
+    if n_c.shape != (c,) or not np.isfinite(n_c).all() or np.any(n_c < 0):
+        raise ValueError(f"{solver}: populations must be {c} finite non-negative values")
+    _, _, is_queue, z, _ = _class_axes(None, think_times, None, station_kinds, k, solver)
+    if z.shape != (c,):
+        raise ValueError(f"{solver}: think_times must be {c} values")
+    x, r, q = _bard_schweitzer(d, n_c, z, is_queue)
+    return x[0], r[0], q[0]
 
 
 @dataclass(frozen=True)
@@ -158,15 +137,17 @@ def multiclass_mvasd(
     think_times:
         Per-class ``Z_c``.
     """
+    from ..engine.batched import _class_axes, _mix_sweep, _multiclass_demand_stack, mix_populations
+
+    solver = "multiclass-mvasd"
     classes = tuple(class_demands)
     if not classes:
         raise ValueError("need at least one class")
     if set(mix) != set(classes) or set(think_times) != set(classes):
         raise ValueError("mix and think_times must cover exactly the classes")
     weights = np.array([float(mix[c]) for c in classes])
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError("mix weights must be non-negative with positive sum")
-    weights = weights / weights.sum()
+    if not np.isfinite(weights).all() or np.any(weights < 0) or weights.sum() <= 0:
+        raise ValueError("mix weights must be finite, non-negative with positive sum")
     if max_total_population < 1:
         raise ValueError("max_total_population must be >= 1")
     names = tuple(station_names)
@@ -175,47 +156,32 @@ def multiclass_mvasd(
         missing = set(names) - set(class_demands[cls])
         if missing:
             raise ValueError(f"class {cls!r} missing demands for {sorted(missing)}")
+    _, _, is_queue, z, _ = _class_axes(
+        classes, [float(think_times[c]) for c in classes], names, station_kinds, k, solver
+    )
 
-    z = np.array([float(think_times[c]) for c in classes])
-
-    def demands_at(total: float) -> np.ndarray:
-        d = np.empty((k, len(classes)))
+    # The per-class SS_{k,c}(n) curves at every total population.
+    t = int(max_total_population)
+    d = np.empty((t, k, len(classes)))
+    for i in range(t):
+        total = float(i + 1)
         for ci, cls in enumerate(classes):
             for ki, st in enumerate(names):
                 spec = class_demands[cls][st]
-                d[ki, ci] = float(spec(total)) if callable(spec) else float(spec)
-                if d[ki, ci] < 0:
+                d[i, ki, ci] = float(spec(total)) if callable(spec) else float(spec)
+                if d[i, ki, ci] < 0:
                     raise ValueError(f"negative demand for {cls}/{st} at N={total}")
-        return d
+    d, _ = _multiclass_demand_stack(d, d.shape, solver, None)
 
-    steps = np.arange(1, max_total_population + 1)
-    pops = np.zeros((len(steps), len(classes)), dtype=int)
-    xs = np.zeros((len(steps), len(classes)))
-    rs = np.zeros((len(steps), len(classes)))
-    utils = np.zeros((len(steps), k))
-    kinds = tuple(station_kinds) if station_kinds else ("queue",) * k
-
-    for i, total in enumerate(steps):
-        # largest-remainder apportionment of the mix at this total
-        raw = weights * total
-        base = np.floor(raw).astype(int)
-        remainder = total - base.sum()
-        order = np.argsort(-(raw - base))
-        base[order[:remainder]] += 1
-        pops[i] = base
-        d = demands_at(float(total))
-        x_c, r_c, _ = bard_schweitzer(d, base, z, station_kinds=kinds)
-        xs[i] = x_c
-        rs[i] = r_c
-        utils[i] = (d * x_c[np.newaxis, :]).sum(axis=1)
-
+    steps, pops = mix_populations(weights, t)
+    xs, rs, utils = _mix_sweep(d, pops, z, is_queue)
     return MultiClassTrajectory(
         class_names=classes,
         station_names=names,
         totals=steps,
         populations=pops,
-        throughput=xs,
-        response_time=rs,
-        utilizations=utils,
+        throughput=xs[0],
+        response_time=rs[0],
+        utilizations=utils[0],
         think_times=tuple(z),
     )

@@ -92,15 +92,26 @@ def validate_resume(
     return level
 
 
-def _prefill(prev: MVAResult, arrays: tuple[np.ndarray, ...]) -> None:
-    """Copy a resumed prefix into the output arrays (levels ``1..L``)."""
-    xs, rs, qs, rks, utils = arrays
-    level = prev.max_population
-    xs[:level] = prev.throughput
-    rs[:level] = prev.response_time
-    qs[:level] = prev.queue_lengths
-    rks[:level] = prev.residence_times
-    utils[:level] = prev.utilizations
+def _scalar_result(network: ClosedNetwork, levels, prev: MVAResult | None, **fields) -> MVAResult:
+    """One network's :class:`MVAResult` from ``S = 1`` level arrays.
+
+    ``levels`` is a batched recursion's ``(xs, rs, qs, rks, utils)`` at
+    ``S = 1``; a resumed solve copies levels ``1..L`` from ``prev``.
+    ``fields`` carry the solver label and the optional fields.
+    """
+    arrays = tuple(arr[0] for arr in levels)
+    if prev is not None:
+        prefix = (prev.throughput, prev.response_time, prev.queue_lengths,
+                  prev.residence_times, prev.utilizations)
+        for arr, rows in zip(arrays, prefix):
+            arr[: prev.max_population] = rows
+    return MVAResult(
+        np.arange(1, len(arrays[0]) + 1),
+        *arrays,
+        station_names=network.station_names,
+        think_time=network.think_time,
+        **fields,
+    )
 
 
 def exact_mva(
@@ -111,6 +122,9 @@ def exact_mva(
     resume_from: MVAResult | None = None,
 ) -> MVAResult:
     """Solve a closed network with exact single-server MVA (Algorithm 1).
+
+    The recursion is :func:`repro.engine.batched.batched_exact_mva`'s,
+    run for one scenario.
 
     Parameters
     ----------
@@ -138,54 +152,39 @@ def exact_mva(
     MVAResult
         Trajectories for ``n = 1..N``.
     """
+    from ..engine.batched import _exact_mva_levels
+
+    return _constant_demand_solve(
+        _exact_mva_levels, "exact-mva", network, max_population, demands, demand_level,
+        resume_from,
+    )
+
+
+def _constant_demand_solve(
+    levels_fn, solver, network, max_population, demands, demand_level, resume_from
+) -> MVAResult:
+    """A constant-demand recursion ``levels_fn`` of :mod:`repro.engine.batched` at S=1.
+
+    ``levels_fn(network, d, z, N, start, init_q)`` continues from the
+    resumed result's last queue lengths when there is one.
+    """
     if max_population < 1:
         raise ValueError(f"max_population must be >= 1, got {max_population}")
-
-    d = _resolve_demands(network, demands, demand_level, solver="exact-mva")
-    k = len(network)
-    z = network.think_time
-    is_queue = np.array([st.kind == "queue" for st in network.stations])
-    servers = network.servers().astype(float)
-
-    q = np.zeros(k)
-    pops = np.arange(1, max_population + 1)
-    xs = np.empty(max_population)
-    rs = np.empty(max_population)
-    qs = np.empty((max_population, k))
-    rks = np.empty((max_population, k))
-    utils = np.empty((max_population, k))
-
-    start = 0
+    d = _resolve_demands(network, demands, demand_level, solver=solver)
+    start, init_q = 0, None
     if resume_from is not None:
-        start = validate_resume(resume_from, max_population, k, z, "exact-mva")
+        start = validate_resume(
+            resume_from, max_population, len(network), network.think_time, solver
+        )
         if resume_from.demands_used is None or not np.array_equal(
             np.asarray(resume_from.demands_used[-1]), d
         ):
-            raise ValueError("exact-mva: resume_from demands differ from this solve")
-        _prefill(resume_from, (xs, rs, qs, rks, utils))
-        q = np.array(resume_from.queue_lengths[-1], dtype=float)
-
-    for i in range(start, max_population):
-        n = i + 1
-        r_k = np.where(is_queue, d * (1.0 + q), d)
-        r_total = float(r_k.sum())
-        x = n / (r_total + z)
-        q = x * r_k
-        xs[i] = x
-        rs[i] = r_total
-        qs[i] = q
-        rks[i] = r_k
-        utils[i] = x * d / servers
-
-    return MVAResult(
-        populations=pops,
-        throughput=xs,
-        response_time=rs,
-        queue_lengths=qs,
-        residence_times=rks,
-        utilizations=utils,
-        station_names=network.station_names,
-        think_time=z,
-        solver="exact-mva",
+            raise ValueError(f"{solver}: resume_from demands differ from this solve")
+        init_q = np.array(resume_from.queue_lengths[-1], dtype=float)[None]
+    levels = levels_fn(
+        network, d[None], np.full(1, network.think_time), max_population, start, init_q
+    )
+    return _scalar_result(
+        network, levels, resume_from, solver=solver,
         demands_used=np.tile(d, (max_population, 1)),
     )

@@ -41,7 +41,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .multiserver import MultiServerState
-from .mva import _prefill, validate_resume
+from .mva import _scalar_result, validate_resume
 from .network import ClosedNetwork
 from .results import MVAResult
 
@@ -345,15 +345,13 @@ def _population_recursion(
                 raise ValueError(f"mvasd: resume_from lacks marginal history for {st.name!r}")
             init_p[0, idx] = p
 
-    xs, rs, qs, rks, utils, history, final = _mvasd_levels(
+    *levels, history, final = _mvasd_levels(
         native.mvasd_kernel(), network, demand_matrix[None],
         np.full(1, network.think_time, dtype=float), single_server, start, init_p, init_q,
         history=True, final=solver == "mvasd",
     )
-    arrays = (xs[0], rs[0], qs[0], rks[0], utils[0])
     probs = {name: hist[0] for name, hist in history.items()}
     if prev is not None:
-        _prefill(prev, arrays)
         for name, hist in probs.items():
             hist[:start] = prev.marginal_probabilities[name]
     if final is not None:
@@ -362,11 +360,10 @@ def _population_recursion(
             for name, p in final.items()
         }
         final = {"solver": solver, "level": n_levels, "marginals": marginals}
-    return MVAResult(
-        np.arange(1, n_levels + 1),
-        *arrays,
-        station_names=network.station_names,
-        think_time=network.think_time,
+    return _scalar_result(
+        network,
+        levels,
+        prev,
         solver=solver,
         marginal_probabilities=probs or None,
         demands_used=demand_matrix,

@@ -62,8 +62,9 @@ class Station:
     def __post_init__(self) -> None:
         if self.servers < 1 or int(self.servers) != self.servers:
             raise ValueError(f"servers must be a positive integer, got {self.servers}")
-        if self.visits <= 0:
-            raise ValueError(f"visits must be positive, got {self.visits}")
+        # `not 0 < v < inf`, not `v <= 0`: NaN compares False either way.
+        if not 0 < self.visits < np.inf:
+            raise ValueError(f"visits must be positive and finite, got {self.visits}")
         if self.kind not in ("queue", "delay"):
             raise ValueError(f"kind must be 'queue' or 'delay', got {self.kind!r}")
         if not callable(self.demand) and self.demand < 0:
@@ -128,8 +129,8 @@ class ClosedNetwork:
             if st.name in seen:
                 raise ValueError(f"duplicate station name {st.name!r}")
             seen.add(st.name)
-        if think_time < 0:
-            raise ValueError(f"think_time must be non-negative, got {think_time}")
+        if not 0 <= think_time < np.inf:
+            raise ValueError(f"think_time must be finite and non-negative, got {think_time}")
         object.__setattr__(self, "stations", stations)
         object.__setattr__(self, "think_time", float(think_time))
         object.__setattr__(self, "name", name)

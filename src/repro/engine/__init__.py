@@ -7,7 +7,8 @@ grid-of-scenarios pattern:
     Vectorized NumPy kernels that advance S scenarios through one MVA /
     AMVA / MVASD population recursion at once — demand stacks of shape
     ``(S, K)`` or ``(S, N, K)``, per-level work amortized over the whole
-    grid.  Results match the scalar solvers to 1e-10.
+    grid.  Each scalar solver is its kernel run at ``S = 1``, so results
+    match bit for bit.
 ``repro.engine.native``
     Lazy cffi loader of ``_mvasd.c``, the compiled population recursion
     behind :func:`batched_mvasd` (bit-identical to its NumPy loop, which

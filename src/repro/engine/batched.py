@@ -18,12 +18,20 @@ is then paid once per level instead of once per level *per scenario*,
 which is where the order-of-magnitude speedups of
 ``benchmarks/bench_perf01_batch_speedup.py`` come from.
 
-The batched kernels perform the same floating-point operations in the
-same order as their scalar counterparts (elementwise across the
-scenario axis), so trajectories agree with
-:func:`repro.core.mva.exact_mva`, :func:`repro.core.amva.schweitzer_amva`
-and :func:`repro.core.mvasd.mvasd` to rounding — the equivalence suite
-pins them to within 1e-10.
+Each recursion exists once, here, as a private level function that
+takes a start level and an initial state; the public kernel validates a
+stack and calls it.  The scalar solvers are the same functions run at
+``S = 1``: :func:`repro.core.mva.exact_mva` (:func:`_exact_mva_levels`),
+:func:`repro.core.amva.schweitzer_amva` (:func:`_schweitzer_levels`),
+:func:`repro.core.ld_mva.exact_load_dependent_mva` (:func:`_ld_mva_levels`),
+population-axis :func:`repro.core.mvasd.mvasd` (:func:`_mvasd_levels`),
+:func:`repro.core.multiclass.exact_multiclass_mva`
+(:func:`_exact_multiclass_lattice`) and
+:func:`repro.core.multiclass_amva.multiclass_mvasd` /
+:func:`~repro.core.multiclass_amva.bard_schweitzer` (:func:`_mix_sweep`,
+:func:`_bard_schweitzer`).  Every update is elementwise along the
+scenario axis, so a scenario's row of a stack solve equals its scalar
+solve bit for bit.
 
 Scenarios must share the network *topology* (station kinds, server
 counts) — that is what makes the recursion batchable — but may differ
@@ -61,11 +69,12 @@ __all__ = [
     "mix_populations",
 ]
 
-# Mirrors of the scalar Schweitzer fixed-point controls (amva.py).
+# Fixed-point controls: Schweitzer (single class) and Bard-Schweitzer
+# (multi-class) iterate until the largest queue change is within _TOL
+# of max(1, largest queue).
 _MAX_ITER = 10_000
-_TOL = 1e-10
-# Mirror of the scalar Bard-Schweitzer controls (multiclass_amva.py).
 _MC_MAX_ITER = 50_000
+_TOL = 1e-10
 
 
 def _mask_stack(mask, s: int, solver: str) -> np.ndarray | None:
@@ -483,6 +492,78 @@ def demand_matrix_stack(
     return np.stack(matrices, axis=0)
 
 
+def _level_arrays(s: int, n_levels: int, k: int) -> tuple[np.ndarray, ...]:
+    """Empty ``(xs, rs, qs, rks, utils)``: ``(S, N)`` twice, then ``(S, N, K)`` thrice."""
+    return (
+        np.empty((s, n_levels)),
+        np.empty((s, n_levels)),
+        *(np.empty((s, n_levels, k)) for _ in range(3)),
+    )
+
+
+def _topology(network: ClosedNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Queueing-station flags and float server counts, per station."""
+    return (
+        np.array([st.kind == "queue" for st in network.stations]),
+        network.servers().astype(float),
+    )
+
+
+def _record(levels, i: int, x, r_total, r_k, q=None) -> None:
+    """Store level ``i``'s throughput, response time, residences and queues."""
+    xs, rs, qs, rks, _ = levels
+    xs[:, i] = x
+    rs[:, i] = r_total
+    rks[:, i] = r_k
+    if q is not None:
+        qs[:, i] = q
+
+
+def _utilizations(levels, start: int, d, servers) -> None:
+    """Fill the utilizations ``X D_k / C_k`` of levels ``start+1..N`` at once.
+
+    The same elementwise product and quotient per level as inside the
+    loop, so the same bits; one pass saves three array operations per
+    level.
+    """
+    xs, _, _, _, utils = levels
+    out = utils[:, start:]
+    np.multiply(xs[:, start:, None], d[:, None, :], out=out)
+    out /= servers
+
+
+def _constant_inputs(network, max_population, demands, think_times, mask, solver):
+    """Validated ``(d, z, mask)`` of a constant-demand stack: ``(S, K)``, ``(S,)``."""
+    if max_population < 1:
+        raise ValueError(f"max_population must be >= 1, got {max_population}")
+    arr = np.asarray(demands, dtype=float)
+    mask = _mask_stack(mask, arr.shape[0] if arr.ndim > 1 else 1, solver)
+    d = _demand_stack(network, demands, solver=solver, mask=mask)
+    return d, _think_stack(network, think_times, d.shape[0], mask=mask), mask
+
+
+def _stack_result(network, levels, z, demands, solver, mask) -> BatchedMVAResult:
+    """Wrap S scenarios' level arrays; ``demands`` is ``(S, K)`` or ``(S, N, K)``.
+
+    Masked-out rows come back NaN, demands included.
+    """
+    s, n_levels = levels[0].shape
+    if demands.ndim == 2:
+        demands = np.broadcast_to(demands[:, None, :], (s, n_levels, demands.shape[1]))
+        if mask is not None:
+            demands = demands.copy()
+    if mask is not None:
+        _nan_rows(mask, *levels, demands)
+    return BatchedMVAResult(
+        np.arange(1, n_levels + 1),
+        *levels,
+        station_names=network.station_names,
+        think_times=z,
+        solver=solver,
+        demands_used=demands,
+    )
+
+
 def batched_exact_mva(
     network: ClosedNetwork,
     max_population: int,
@@ -513,53 +594,32 @@ def batched_exact_mva(
         contract; survivors see exactly the arithmetic of an unmasked
         run because every update is elementwise along the scenario axis.
     """
-    if max_population < 1:
-        raise ValueError(f"max_population must be >= 1, got {max_population}")
-    arr = np.asarray(demands, dtype=float)
-    s0 = arr.shape[0] if arr.ndim > 1 else 1
-    mask = _mask_stack(mask, s0, "batched-exact-mva")
-    d = _demand_stack(network, demands, solver="batched-exact-mva", mask=mask)
+    solver = "batched-exact-mva"
+    d, z, mask = _constant_inputs(network, max_population, demands, think_times, mask, solver)
+    levels = _exact_mva_levels(network, d, z, max_population)
+    return _stack_result(network, levels, z, d, solver, mask)
+
+
+def _exact_mva_levels(network, d, z, n_levels, start=0, init_q=None):
+    """Algorithm 1 over levels ``start+1..N`` of S scenarios.
+
+    ``d`` is ``(S, K)`` and ``z`` ``(S,)``; the recursion starts from
+    queue lengths ``init_q`` ``(S, K)`` (by default the empty network at
+    ``start = 0``).  Returns ``(xs, rs, qs, rks, utils)``, set from row
+    ``start`` on.  :func:`~repro.core.mva.exact_mva` is this at ``S = 1``.
+    """
     s, k = d.shape
-    z = _think_stack(network, think_times, s, mask=mask)
-    is_queue = np.array([st.kind == "queue" for st in network.stations])
-    servers = network.servers().astype(float)
-
-    pops = np.arange(1, max_population + 1)
-    n_levels = max_population
-    xs = np.empty((s, n_levels))
-    rs = np.empty((s, n_levels))
-    qs = np.empty((s, n_levels, k))
-    rks = np.empty((s, n_levels, k))
-    utils = np.empty((s, n_levels, k))
-
-    q = np.zeros((s, k))
-    for i, n in enumerate(pops):
+    is_queue, servers = _topology(network)
+    levels = _level_arrays(s, n_levels, k)
+    q = np.zeros((s, k)) if init_q is None else init_q
+    for i in range(start, n_levels):
         r_k = np.where(is_queue, d * (1.0 + q), d)
         r_total = r_k.sum(axis=1)
-        x = n / (r_total + z)
+        x = (i + 1) / (r_total + z)
         q = x[:, None] * r_k
-        xs[:, i] = x
-        rs[:, i] = r_total
-        qs[:, i] = q
-        rks[:, i] = r_k
-        utils[:, i] = x[:, None] * d / servers
-
-    demands_used = np.broadcast_to(d[:, None, :], (s, n_levels, k))
-    if mask is not None:
-        demands_used = demands_used.copy()
-        _nan_rows(mask, xs, rs, qs, rks, utils, demands_used)
-    return BatchedMVAResult(
-        populations=pops,
-        throughput=xs,
-        response_time=rs,
-        queue_lengths=qs,
-        residence_times=rks,
-        utilizations=utils,
-        station_names=network.station_names,
-        think_times=z,
-        solver="batched-exact-mva",
-        demands_used=demands_used,
-    )
+        _record(levels, i, x, r_total, r_k, q)
+    _utilizations(levels, start, d, servers)
+    return levels
 
 
 def batched_ld_mva(
@@ -579,7 +639,7 @@ def batched_ld_mva(
     recursion of :func:`repro.core.ld_mva.exact_load_dependent_mva`
     advances all S scenarios together.  Per level the work is a handful
     of ``(S, K, n)`` array operations, elementwise along the scenario
-    axis, so trajectories match the scalar solver to rounding.
+    axis.
 
     Parameters
     ----------
@@ -597,6 +657,7 @@ def batched_ld_mva(
         Optional ``(S,)`` validity mask, the
         :func:`batched_exact_mva` isolate contract.
     """
+    solver = "batched-ld-mva"
     if max_population < 1:
         raise ValueError(f"max_population must be >= 1, got {max_population}")
     arr = np.asarray(inputs, dtype=float)
@@ -605,12 +666,12 @@ def batched_ld_mva(
     k, big_n = len(network), max_population
     if arr.ndim != 3 or arr.shape[1:] != (k, big_n + 1):
         raise ValueError(
-            f"batched-ld-mva: expected a (S, {k}, {big_n + 1}) input stack "
+            f"{solver}: expected a (S, {k}, {big_n + 1}) input stack "
             f"(demand column + rate table), got shape {arr.shape}"
         )
     s = arr.shape[0]
-    mask = _mask_stack(mask, s, "batched-ld-mva")
-    d = _demand_stack(network, arr[:, :, 0], solver="batched-ld-mva", mask=mask)
+    mask = _mask_stack(mask, s, solver)
+    d = _demand_stack(network, arr[:, :, 0], solver=solver, mask=mask)
     mu = arr[:, :, 1:]
     if mask is not None:
         mu = mu.copy()
@@ -618,58 +679,49 @@ def batched_ld_mva(
     if np.any(np.isnan(mu)) or np.any(mu <= 0):
         bad = np.nonzero(np.any(np.isnan(mu) | (mu <= 0), axis=(1, 2)))[0]
         raise ValueError(
-            f"batched-ld-mva: service rates must be positive at scenario "
+            f"{solver}: service rates must be positive at scenario "
             f"indices {sorted(bad.tolist())}"
         )
     z = _think_stack(network, think_times, s, mask=mask)
-    is_queue = np.array([st.kind == "queue" for st in network.stations])
-    servers = network.servers().astype(float)
+    levels, _ = _ld_mva_levels(network, d, mu, z, big_n)
+    return _stack_result(network, levels, z, d, "batched-exact-load-dependent-mva", mask)
 
-    # Same weight table and update expressions as the scalar recursion,
-    # with a leading scenario axis; +inf rates (delay rows) contribute 0.
-    weights = np.arange(1, big_n + 1, dtype=float) / mu
-    p = np.zeros((s, k, big_n + 1))
-    p[:, :, 0] = 1.0
 
-    pops = np.arange(1, big_n + 1)
-    xs = np.empty((s, big_n))
-    rs = np.empty((s, big_n))
-    qs = np.empty((s, big_n, k))
-    rks = np.empty((s, big_n, k))
-    utils = np.empty((s, big_n, k))
+def _ld_mva_levels(network, d, mu, z, n_levels, start=0, init_p=None):
+    """The load-dependent marginal recursion over levels ``start+1..N`` of S scenarios.
 
-    for i, n in enumerate(pops):
-        r_queue = (weights[:, :, :n] * p[:, :, :n]).sum(axis=2)
-        r_k = np.where(is_queue, r_queue, d)
+    ``d`` is ``(S, K)``, ``mu`` the ``(S, K, N)`` rate table (``+inf``
+    rows for delay stations) and ``z`` ``(S,)``.  Starts from marginals
+    ``p_k(0..start | start)`` ``init_p`` ``(S, K, start+1)`` (by default
+    the empty network at ``start = 0``).  Returns ``(levels, p)``: the
+    ``(xs, rs, qs, rks, utils)`` arrays set from row ``start`` on, and
+    the final marginals ``p_k(0..N | N)`` ``(S, K, N+1)``.
+    :func:`~repro.core.ld_mva.exact_load_dependent_mva` is this at
+    ``S = 1``.
+    """
+    s, k = d.shape
+    is_queue, servers = _topology(network)
+    levels = _level_arrays(s, n_levels, k)
+    # R_k(n) weight table j / mu_k(j); +inf rates (delay, idle stations)
+    # contribute zero, so the np.where below restores the delay demand.
+    weights = np.arange(1, n_levels + 1, dtype=float) / mu
+    p = np.zeros((s, k, n_levels + 1))
+    p[:, :, : start + 1] = 1.0 if init_p is None else init_p
+    for i in range(start, n_levels):
+        n = i + 1
+        r_k = np.where(is_queue, (weights[:, :, :n] * p[:, :, :n]).sum(axis=2), d)
         r_total = r_k.sum(axis=1)
         x = n / (r_total + z)
-
+        # p(j|n) = (X/mu(j)) p(j-1|n-1); build the tail fresh before
+        # assigning — p still holds the n-1 values.
         tail = (x[:, None, None] / mu[:, :, :n]) * p[:, :, :n]
         p[:, :, 1 : n + 1] = tail
         p[:, :, 0] = np.maximum(0.0, 1.0 - tail.sum(axis=2))
-
-        xs[:, i] = x
-        rs[:, i] = r_total
-        rks[:, i] = r_k
-        qs[:, i] = x[:, None] * r_k
-        utils[:, i] = x[:, None] * d / servers
-
-    demands_used = np.broadcast_to(d[:, None, :], (s, big_n, k))
-    if mask is not None:
-        demands_used = demands_used.copy()
-        _nan_rows(mask, xs, rs, qs, rks, utils, demands_used)
-    return BatchedMVAResult(
-        populations=pops,
-        throughput=xs,
-        response_time=rs,
-        queue_lengths=qs,
-        residence_times=rks,
-        utilizations=utils,
-        station_names=network.station_names,
-        think_times=z,
-        solver="batched-exact-load-dependent-mva",
-        demands_used=demands_used,
-    )
+        _record(levels, i, x, r_total, r_k)
+    xs, _, qs, rks, _ = levels
+    np.multiply(xs[:, start:, None], rks[:, start:], out=qs[:, start:])
+    _utilizations(levels, start, d, servers)
+    return levels, p
 
 
 def batched_schweitzer_amva(
@@ -683,75 +735,56 @@ def batched_schweitzer_amva(
 
     Each population level is a fixed point per scenario; scenarios are
     iterated together and *frozen* individually as soon as their own
-    convergence criterion (identical to the scalar solver's) fires, so
-    every scenario sees exactly the iterates the scalar
-    :func:`~repro.core.amva.schweitzer_amva` would produce.  ``mask``
-    follows the :func:`batched_exact_mva` isolate contract.
+    convergence criterion fires, so every scenario sees exactly the
+    iterates a one-scenario solve would produce.  ``mask`` follows the
+    :func:`batched_exact_mva` isolate contract.
     """
-    if max_population < 1:
-        raise ValueError(f"max_population must be >= 1, got {max_population}")
-    arr = np.asarray(demands, dtype=float)
-    s0 = arr.shape[0] if arr.ndim > 1 else 1
-    mask = _mask_stack(mask, s0, "batched-schweitzer-amva")
-    d = _demand_stack(network, demands, solver="batched-schweitzer-amva", mask=mask)
+    solver = "batched-schweitzer-amva"
+    d, z, mask = _constant_inputs(network, max_population, demands, think_times, mask, solver)
+    levels = _schweitzer_levels(network, d, z, max_population)
+    return _stack_result(network, levels, z, d, solver, mask)
+
+
+def _schweitzer_levels(network, d, z, n_levels, start=0, init_q=None):
+    """Schweitzer's fixed point (eq. 9) at levels ``start+1..N`` of S scenarios.
+
+    Level ``n`` is seeded with level ``n-1``'s queue lengths, ``init_q``
+    ``(S, K)`` at ``start`` (by default ``1/K`` per station at
+    ``start = 0``).  Returns ``(xs, rs, qs, rks, utils)``, set from row
+    ``start`` on.  :func:`~repro.core.amva.schweitzer_amva` is this at
+    ``S = 1``.
+    """
     s, k = d.shape
-    z = _think_stack(network, think_times, s, mask=mask)
-    is_queue = np.array([st.kind == "queue" for st in network.stations])
-    servers = network.servers().astype(float)
-
-    pops = np.arange(1, max_population + 1)
-    n_levels = max_population
-    xs = np.empty((s, n_levels))
-    rs = np.empty((s, n_levels))
-    qs = np.empty((s, n_levels, k))
-    rks = np.empty((s, n_levels, k))
-    utils = np.empty((s, n_levels, k))
-
-    q = np.full((s, k), 1.0 / k)
-    x = np.empty(s)
-    r_k = np.empty((s, k))
-    for i, n in enumerate(pops):
-        n = int(n)
-        active = np.arange(s)
+    is_queue, servers = _topology(network)
+    levels = _level_arrays(s, n_levels, k)
+    q = np.full((s, k), 1.0 / k) if init_q is None else init_q.copy()
+    for i in range(start, n_levels):
+        n = i + 1
+        alive = np.arange(s)
         for _ in range(_MAX_ITER):
-            qa = q[active]
-            da = d[active]
+            # While every row iterates, whole arrays stand in for the rows.
+            full = alive.size == s
+            qa, da, za = (q, d, z) if full else (q[alive], d[alive], z[alive])
             q_arr = (n - 1.0) / n * qa
             r = np.where(is_queue, da * (1.0 + q_arr), da)
-            xa = n / (r.sum(axis=1) + z[active])
+            xa = n / (r.sum(axis=1) + za)
             q_new = xa[:, None] * r
-            x[active] = xa
-            r_k[active] = r
-            q[active] = q_new
             converged = (
                 np.abs(q_new - qa).max(axis=1)
                 <= _TOL * np.maximum(1.0, q_new.max(axis=1))
             )
-            active = active[~converged]
-            if active.size == 0:
+            if full:
+                x, r_k, q = xa, r, q_new
+            else:
+                x[alive] = xa
+                r_k[alive] = r
+                q[alive] = q_new
+            alive = alive[~converged]
+            if alive.size == 0:
                 break
-        xs[:, i] = x
-        rs[:, i] = r_k.sum(axis=1)
-        qs[:, i] = q
-        rks[:, i] = r_k
-        utils[:, i] = x[:, None] * d / servers
-
-    demands_used = np.broadcast_to(d[:, None, :], (s, n_levels, k))
-    if mask is not None:
-        demands_used = demands_used.copy()
-        _nan_rows(mask, xs, rs, qs, rks, utils, demands_used)
-    return BatchedMVAResult(
-        populations=pops,
-        throughput=xs,
-        response_time=rs,
-        queue_lengths=qs,
-        residence_times=rks,
-        utilizations=utils,
-        station_names=network.station_names,
-        think_times=z,
-        solver="batched-schweitzer-amva",
-        demands_used=demands_used,
-    )
+        _record(levels, i, x, r_k.sum(axis=1), r_k, q)
+    _utilizations(levels, start, d, servers)
+    return levels
 
 
 class _BatchedMultiServerState:
@@ -884,25 +917,9 @@ def _batched_mvasd(
     s = matrices.shape[0]
     z = _think_stack(network, think_times, s, mask=mask)
 
-    xs, rs, qs, rks, utils, _, _ = _mvasd_levels(
-        kernel, network, matrices, z, single_server
-    )
-
-    if mask is not None:
-        _nan_rows(mask, xs, rs, qs, rks, utils, matrices)
+    *levels, _, _ = _mvasd_levels(kernel, network, matrices, z, single_server)
     solver = "batched-mvasd-single-server" if single_server else "batched-mvasd"
-    return BatchedMVAResult(
-        populations=np.arange(1, max_population + 1),
-        throughput=xs,
-        response_time=rs,
-        queue_lengths=qs,
-        residence_times=rks,
-        utilizations=utils,
-        station_names=network.station_names,
-        think_times=z,
-        solver=solver,
-        demands_used=matrices,
-    )
+    return _stack_result(network, levels, z, matrices, solver, mask)
 
 
 def _mvasd_levels(
@@ -933,11 +950,7 @@ def _mvasd_levels(
         )
     recorded = [st.kind == "queue" and st.servers > 1 for st in stations]
     keep = not single_server
-    levels = (
-        np.empty((s, n_levels)),
-        np.empty((s, n_levels)),
-        *(np.empty((s, n_levels, k)) for _ in range(3)),
-    )
+    levels = _level_arrays(s, n_levels, k)
     c_max = max(network.servers()) if keep and history and any(recorded) else 0
     hist = np.empty((s, n_levels, k, c_max)) if c_max else None
     final_p = np.empty((s, k, n_levels + 1)) if keep and final else None
@@ -1244,9 +1257,8 @@ def batched_exact_multiclass(
     scenario dimension and every update is an array operation across
     all S scenarios, so the ``O(K * prod_c (N_c + 1))`` Python-level
     lattice walk is paid once for the whole stack instead of once per
-    scenario.  Operations are elementwise along the scenario axis in
-    the scalar solver's order, so each row matches the scalar result
-    to rounding (pinned at 1e-10 by the equivalence suite).
+    scenario.  The scalar solver is this walk at ``S = 1``, so each row
+    equals its scalar result bit for bit.
 
     Parameters
     ----------
@@ -1269,49 +1281,57 @@ def batched_exact_multiclass(
     modest (the facade's ``EXACT_MULTICLASS_LATTICE_LIMIT`` guards
     this).
     """
+    solver = "batched-exact-multiclass"
     arr = np.asarray(demands, dtype=float)
     if arr.ndim not in (2, 3):
-        raise ValueError(
-            f"batched-exact-multiclass: demands must be (S, K, C), got shape {arr.shape}"
-        )
-    k, c = (arr.shape[1], arr.shape[2]) if arr.ndim == 3 else arr.shape
-    d, mask = _multiclass_demand_stack(demands, (k, c), "batched-exact-multiclass", mask)
-    s = d.shape[0]
+        raise ValueError(f"{solver}: demands must be (S, K, C), got shape {arr.shape}")
+    d, mask = _multiclass_demand_stack(arr, arr.shape[-2:], solver, mask)
+    pops, names, is_queue, z, cls = _lattice_inputs(
+        d, populations, think_times, station_names, station_kinds, class_names, solver
+    )
+    arrays = _exact_multiclass_lattice(d, pops, z, is_queue)
+    if mask is not None:
+        _nan_rows(mask, *arrays, d)
+    return BatchedMultiClassResult(
+        pops, cls, *arrays, names, think_times=z, solver=solver, demands_used=d
+    )
+
+
+def _lattice_inputs(d, populations, think_times, station_names, station_kinds, class_names, solver):
+    """Validate the shared axes of an exact multi-class solve of ``(S, K, C)`` demands.
+
+    Returns ``(populations, station names, is_queue, think times, class names)``.
+    """
+    k, c = d.shape[1:]
     pops = tuple(int(p) for p in populations)
     if len(pops) != c or any(p < 0 for p in pops):
         raise ValueError(
-            f"batched-exact-multiclass: populations must be {c} non-negative "
-            f"integers, got {populations}"
+            f"{solver}: populations must be {c} non-negative integers, got {populations}"
         )
     names, _kinds, is_queue, z, cls = _class_axes(
-        class_names, think_times, station_names, station_kinds, k,
-        "batched-exact-multiclass",
+        class_names, think_times, station_names, station_kinds, k, solver
     )
     if z.shape != (c,):
-        raise ValueError(f"batched-exact-multiclass: think_times must be {c} values")
+        raise ValueError(f"{solver}: think_times must be {c} values")
+    return pops, names, is_queue, z, cls
 
-    if sum(pops) == 0:
-        zero_sc = np.zeros((s, c))
-        return BatchedMultiClassResult(
-            populations=pops,
-            class_names=cls,
-            throughput=zero_sc,
-            response_time=zero_sc.copy(),
-            queue_lengths=np.zeros((s, k)),
-            queue_lengths_by_class=np.zeros((s, k, c)),
-            utilizations=np.zeros((s, k)),
-            station_names=names,
-            think_times=z,
-            solver="batched-exact-multiclass",
-            demands_used=d,
-        )
 
+def _exact_multiclass_lattice(d, pops, z, is_queue):
+    """The exact class-lattice recursion of S scenarios, ``d`` ``(S, K, C)``.
+
+    Returns the full-population throughput and response time ``(S, C)``,
+    queue lengths ``(S, K)``, per-class queue lengths ``(S, K, C)`` and
+    utilizations ``(S, K)``: the :class:`BatchedMultiClassResult` field
+    order.  :func:`~repro.core.multiclass.exact_multiclass_mva` is this
+    at ``S = 1``.
+    """
+    s, k, c = d.shape
     # Station queue lengths Q_k(n) over the lattice, for all S scenarios.
-    shape = tuple(p + 1 for p in pops)
-    q_table = np.zeros(shape + (s, k))
+    q_table = np.zeros(tuple(p + 1 for p in pops) + (s, k))
     last_x = np.zeros((s, c))
     last_r = np.zeros((s, c))
     last_qkc = np.zeros((s, k, c))
+    d_cls = [np.ascontiguousarray(d[:, :, ci]) for ci in range(c)]
 
     for n in product(*(range(p + 1) for p in pops)):
         if sum(n) == 0:
@@ -1324,8 +1344,9 @@ def batched_exact_multiclass(
             prev = list(n)
             prev[ci] -= 1
             q_prev = q_table[tuple(prev)]
-            r_kc[:, :, ci] = np.where(is_queue, d[:, :, ci] * (1.0 + q_prev), d[:, :, ci])
-            x_c[:, ci] = n[ci] / (z[ci] + r_kc[:, :, ci].sum(axis=1))
+            r = np.where(is_queue, d_cls[ci] * (1.0 + q_prev), d_cls[ci])
+            r_kc[:, :, ci] = r
+            x_c[:, ci] = n[ci] / (z[ci] + r.sum(axis=1))
         q_kc = r_kc * x_c[:, None, :]
         q_table[n] = q_kc.sum(axis=2)
         if n == pops:
@@ -1334,22 +1355,7 @@ def batched_exact_multiclass(
             last_qkc = q_kc
 
     util = (d * last_x[:, None, :]).sum(axis=2)
-    queue_lengths = last_qkc.sum(axis=2)
-    if mask is not None:
-        _nan_rows(mask, last_x, last_r, last_qkc, queue_lengths, util, d)
-    return BatchedMultiClassResult(
-        populations=pops,
-        class_names=cls,
-        throughput=last_x,
-        response_time=last_r,
-        queue_lengths=queue_lengths,
-        queue_lengths_by_class=last_qkc,
-        utilizations=util,
-        station_names=names,
-        think_times=z,
-        solver="batched-exact-multiclass",
-        demands_used=d,
-    )
+    return last_x, last_r, last_qkc.sum(axis=2), last_qkc, util
 
 
 def batched_multiclass_mvasd(
@@ -1369,8 +1375,8 @@ def batched_multiclass_mvasd(
     largest-remainder mix apportionment is computed once, and the
     Bard-Schweitzer fixed point iterates all S scenarios together —
     each scenario is *frozen* individually the moment its own
-    convergence criterion (identical to the scalar solver's) fires, so
-    every row reproduces the scalar iterates exactly.
+    convergence criterion fires.  The scalar solver is this sweep at
+    ``S = 1``, so every row reproduces its iterates exactly.
 
     Parameters
     ----------
@@ -1395,81 +1401,36 @@ def batched_multiclass_mvasd(
         Optional ``(S,)`` validity mask (the ``errors="isolate"``
         path); see :func:`batched_exact_mva`.
     """
+    solver = "batched-multiclass-mvasd"
     names = tuple(station_names)
     k = len(names)
     cls = tuple(class_names)
     c = len(cls)
     if not c:
-        raise ValueError("batched-multiclass-mvasd: need at least one class")
+        raise ValueError(f"{solver}: need at least one class")
     t = int(max_total_population)
     if t < 1:
-        raise ValueError("batched-multiclass-mvasd: max_total_population must be >= 1")
-    d, mask = _multiclass_demand_stack(
-        demand_tensors, (t, k, c), "batched-multiclass-mvasd", mask
-    )
-    s = d.shape[0]
+        raise ValueError(f"{solver}: max_total_population must be >= 1")
+    d, mask = _multiclass_demand_stack(demand_tensors, (t, k, c), solver, mask)
     weights = np.asarray(mix, dtype=float)
-    if weights.shape != (c,) or np.any(weights < 0) or weights.sum() <= 0:
+    if (
+        weights.shape != (c,)
+        or not np.isfinite(weights).all()
+        or np.any(weights < 0)
+        or weights.sum() <= 0
+    ):
         raise ValueError(
-            "batched-multiclass-mvasd: mix weights must be non-negative with positive sum"
+            f"{solver}: mix weights must be finite, non-negative with positive sum"
         )
     _names, _kinds, is_queue, z, cls = _class_axes(
-        cls, think_times, names, station_kinds, k, "batched-multiclass-mvasd"
+        cls, think_times, names, station_kinds, k, solver
     )
     if z.shape != (c,):
-        raise ValueError(f"batched-multiclass-mvasd: think_times must be {c} values")
+        raise ValueError(f"{solver}: think_times must be {c} values")
 
     # Shared largest-remainder apportionment of the mix at every total.
     steps, pops = mix_populations(weights, t)
-    xs = np.zeros((s, t, c))
-    rs = np.zeros((s, t, c))
-    utils = np.zeros((s, t, k))
-
-    for i in range(t):
-        n_c = pops[i].astype(float)
-        active_cls = n_c > 0
-        d_step = d[:, i, :, :]
-
-        # Bard-Schweitzer fixed point, all scenarios together; rows are
-        # frozen individually on the scalar convergence criterion.
-        q = np.zeros((s, k, c))
-        if active_cls.any():
-            q[:, :, active_cls] = n_c[active_cls] / k  # even initial spread
-        x = np.zeros((s, c))
-        r_c_out = np.zeros((s, c))
-        alive = np.arange(s)
-        for _ in range(_MC_MAX_ITER):
-            qa = q[alive]
-            da = d_step[alive]
-            a = alive.size
-            q_total = qa.sum(axis=2)
-            r = np.empty((a, k, c))
-            for ci in range(c):
-                if not active_cls[ci]:
-                    r[:, :, ci] = 0.0
-                    continue
-                # arrival-theorem queue with one class-ci customer removed
-                removed = qa[:, :, ci] / n_c[ci]
-                q_arr = np.maximum(q_total - removed, 0.0)
-                r[:, :, ci] = np.where(is_queue, da[:, :, ci] * (1.0 + q_arr), da[:, :, ci])
-            r_c = r.sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xa = np.where(active_cls, n_c / (z + r_c), 0.0)
-            q_new = r * xa[:, None, :]
-            x[alive] = xa
-            r_c_out[alive] = r_c
-            q[alive] = q_new
-            converged = (
-                np.abs(q_new - qa).reshape(a, -1).max(axis=1)
-                <= _TOL * np.maximum(1.0, q_new.reshape(a, -1).max(axis=1))
-            )
-            alive = alive[~converged]
-            if alive.size == 0:
-                break
-
-        xs[:, i] = x
-        rs[:, i] = r_c_out
-        utils[:, i] = (d_step * x[:, None, :]).sum(axis=2)
+    xs, rs, utils = _mix_sweep(d, pops, z, is_queue)
 
     if mask is not None:
         _nan_rows(mask, xs, rs, utils, d)
@@ -1482,6 +1443,75 @@ def batched_multiclass_mvasd(
         response_time=rs,
         utilizations=utils,
         think_times=z,
-        solver="batched-multiclass-mvasd",
+        solver=solver,
         demands_used=d,
     )
+
+
+def _mix_sweep(d, pops, z, is_queue):
+    """The Bard-Schweitzer fixed point at every step of a mix sweep of S scenarios.
+
+    ``d`` is the ``(S, T, K, C)`` demand tensor and ``pops`` the ``(T, C)``
+    integer mixes.  Returns throughput and response time ``(S, T, C)``
+    and utilizations ``(S, T, K)``.
+    :func:`~repro.core.multiclass_amva.multiclass_mvasd` is this at
+    ``S = 1``.
+    """
+    s, t, k, c = d.shape
+    xs = np.zeros((s, t, c))
+    rs = np.zeros((s, t, c))
+    utils = np.zeros((s, t, k))
+    for i in range(t):
+        d_step = d[:, i]
+        x, r_c, _ = _bard_schweitzer(d_step, pops[i].astype(float), z, is_queue)
+        xs[:, i] = x
+        rs[:, i] = r_c
+        utils[:, i] = (d_step * x[:, None, :]).sum(axis=2)
+    return xs, rs, utils
+
+
+def _bard_schweitzer(d, n_c, z, is_queue):
+    """Bard-Schweitzer fixed point of S scenarios at one population vector.
+
+    ``d`` is ``(S, K, C)`` and ``n_c`` ``(C,)``.  Scenarios iterate
+    together and each is *frozen* the moment its own convergence
+    criterion fires.  Returns ``(X_c, R_c, Q_kc)``: ``(S, C)``, ``(S, C)``
+    and ``(S, K, C)``.  :func:`~repro.core.multiclass_amva.bard_schweitzer`
+    is this at ``S = 1``.
+    """
+    s, k, c = d.shape
+    active_cls = n_c > 0
+    idle_cls = ~active_cls
+    n_div = np.where(active_cls, n_c, 1.0)  # idle classes get R = 0 below
+    queue_col = is_queue[:, None]
+    q = np.zeros((s, k, c))
+    if active_cls.any():
+        q[:, :, active_cls] = n_c[active_cls] / k  # even initial spread
+    alive = np.arange(s)
+    for _ in range(_MC_MAX_ITER):
+        # While every row iterates, whole arrays stand in for the rows.
+        full = alive.size == s
+        qa, da = (q, d) if full else (q[alive], d[alive])
+        a = alive.size
+        # arrival-theorem queue with one customer of each class removed
+        q_arr = np.maximum(qa.sum(axis=2)[:, :, None] - qa / n_div, 0.0)
+        r = np.where(queue_col, da * (1.0 + q_arr), da)
+        r[:, :, idle_cls] = 0.0
+        r_c = r.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xa = np.where(active_cls, n_c / (z + r_c), 0.0)
+        q_new = r * xa[:, None, :]
+        converged = (
+            np.abs(q_new - qa).reshape(a, -1).max(axis=1)
+            <= _TOL * np.maximum(1.0, q_new.reshape(a, -1).max(axis=1))
+        )
+        if full:
+            x, r_c_out, q = xa, r_c, q_new
+        else:
+            x[alive] = xa
+            r_c_out[alive] = r_c
+            q[alive] = q_new
+        alive = alive[~converged]
+        if alive.size == 0:
+            break
+    return x, r_c_out, q

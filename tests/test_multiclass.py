@@ -84,6 +84,16 @@ class TestMultiClassMVA:
         with pytest.raises(ValueError, match="station names"):
             exact_multiclass_mva([[0.1]], [1], [1.0], station_names=["a", "b"])
 
+    def test_non_finite_inputs_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            exact_multiclass_mva([[np.nan, 0.1]], [2, 1], [1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            exact_multiclass_mva([[np.inf, 0.1]], [2, 1], [1.0, 1.0])
+        with pytest.raises(ValueError, match="think_times"):
+            exact_multiclass_mva([[0.1, 0.1]], [2, 1], [np.inf, 1.0])
+        with pytest.raises(ValueError, match="think_times"):
+            exact_multiclass_mva([[0.1, 0.1]], [2, 1], [np.nan, 1.0])
+
     def test_utilization(self):
         res = exact_multiclass_mva(
             demands=[[0.1, 0.05]], populations=[3, 3], think_times=[1.0, 1.0]

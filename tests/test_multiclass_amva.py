@@ -44,6 +44,14 @@ class TestBardSchweitzer:
         with pytest.raises(ValueError):
             bard_schweitzer(np.array([[0.1]]), [1, 2], [1.0])
 
+    def test_non_finite_inputs_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            bard_schweitzer(np.array([[np.nan, 0.1]]), [2, 1], [1.0, 1.0])
+        with pytest.raises(ValueError, match="think_times"):
+            bard_schweitzer(np.array([[0.1, 0.1]]), [2, 1], [np.inf, 1.0])
+        with pytest.raises(ValueError, match="populations"):
+            bard_schweitzer(np.array([[0.1, 0.1]]), [np.nan, 1], [1.0, 1.0])
+
 
 class TestMulticlassMVASD:
     STATIONS = ("cpu", "disk")
@@ -143,6 +151,38 @@ class TestMulticlassMVASD:
                 mix={"writer": 1},
                 max_total_population=5,
                 think_times={"writer": 1.0},
+            )
+
+    def test_non_finite_inputs_rejected(self):
+        demands = self._demands()
+        demands["writer"]["cpu"] = lambda n: np.nan if n > 3 else 0.1
+        with pytest.raises(ValueError, match="finite"):
+            multiclass_mvasd(
+                self.STATIONS,
+                demands,
+                mix={"writer": 1, "reader": 1},
+                max_total_population=5,
+                think_times={"writer": 1.0, "reader": 1.0},
+            )
+        with pytest.raises(ValueError, match="think_times"):
+            multiclass_mvasd(
+                self.STATIONS,
+                self._demands(),
+                mix={"writer": 1, "reader": 1},
+                max_total_population=5,
+                think_times={"writer": np.inf, "reader": 1.0},
+            )
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_mix_weight_rejected(self, weight):
+        # A NaN weight used to apportion -2**63 users to its class.
+        with pytest.raises(ValueError, match="mix weights"):
+            multiclass_mvasd(
+                self.STATIONS,
+                self._demands(),
+                mix={"writer": weight, "reader": 1},
+                max_total_population=5,
+                think_times={"writer": 1.0, "reader": 1.0},
             )
 
 

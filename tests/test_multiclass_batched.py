@@ -207,6 +207,13 @@ class TestNaNMasking:
         with pytest.raises(ValueError, match="finite"):
             batched_exact_multiclass(stack, [1, 1], [1.0, 1.0])
 
+    def test_mvasd_rejects_non_finite_mix_weight(self):
+        tensors = np.full((1, 4, 2, 2), 0.05)
+        with pytest.raises(ValueError, match="mix weights"):
+            batched_multiclass_mvasd(
+                ("web", "db"), ("a", "b"), tensors, [np.nan, 1.0], 4, [1.0, 0.5]
+            )
+
     def test_mvasd_mask(self):
         rng = np.random.default_rng(7)
         tensors = rng.uniform(0.01, 0.08, size=(3, 4, 2, 2))

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ClosedNetwork, Station, exact_mva
+from repro.core.convolution import convolution_mva
 
 
 class TestExactMVA:
@@ -89,3 +92,39 @@ class TestExactMVA:
         r = exact_mva(two_station_net, 5)
         assert r.demands_used.shape == (5, 2)
         np.testing.assert_allclose(r.demands_used, [[0.05, 0.08]] * 5)
+
+
+class TestConvolutionOracle:
+    """Algorithm 1 against an independent exact method.
+
+    ``exact_mva`` and ``batched_exact_mva`` run one recursion, so their
+    parity no longer checks the algorithm.  Buzen's log-domain
+    convolution computes the same product-form solution through
+    normalizing constants instead of the arrival theorem.
+    """
+
+    @given(
+        stations=st.lists(
+            st.tuples(st.floats(0.001, 0.5), st.booleans()), min_size=1, max_size=6
+        ),
+        think=st.floats(0.0, 5.0),
+        n=st.integers(1, 120),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_mva_equals_convolution(self, stations, think, n):
+        net = ClosedNetwork(
+            [
+                Station(f"s{i}", d, kind="delay" if delay else "queue")
+                for i, (d, delay) in enumerate(stations)
+            ],
+            think_time=think,
+        )
+        if all(delay for _, delay in stations) and think == 0.0:
+            think = 1.0  # an all-delay network with Z = 0 has no cycle time
+            net = net.with_think_time(think)
+        ex = exact_mva(net, n)
+        conv = convolution_mva(net, n)
+        for field in ("throughput", "response_time", "queue_lengths",
+                      "residence_times", "utilizations"):
+            got, want = getattr(ex, field), getattr(conv, field)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10, err_msg=field)

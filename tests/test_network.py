@@ -39,6 +39,11 @@ class TestStation:
         with pytest.raises(ValueError, match="kind"):
             Station("cpu", 0.1, kind="weird")
 
+    @pytest.mark.parametrize("visits", [float("nan"), float("inf")])
+    def test_non_finite_visits_rejected(self, visits):
+        with pytest.raises(ValueError, match="visits"):
+            Station("cpu", 0.1, visits=visits)
+
     def test_with_demand_preserves_rest(self):
         st = Station("cpu", 0.1, servers=4, visits=2, kind="queue")
         st2 = st.with_demand(0.3)
@@ -58,6 +63,11 @@ class TestClosedNetwork:
     def test_negative_think_time_rejected(self):
         with pytest.raises(ValueError, match="think_time"):
             ClosedNetwork([Station("a", 0.1)], think_time=-1)
+
+    @pytest.mark.parametrize("think", [float("nan"), float("inf")])
+    def test_non_finite_think_time_rejected(self, think):
+        with pytest.raises(ValueError, match="think_time"):
+            ClosedNetwork([Station("a", 0.1)], think_time=think)
 
     def test_lookup_by_name_and_index(self, two_station_net):
         assert two_station_net["cpu"].name == "cpu"

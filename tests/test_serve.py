@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main as cli_main
 from repro.serve import ServeClient, ServeError, decode_scenario, encode_result
 from repro.serve.protocol import ProtocolError, decode_request, error_envelope
@@ -147,6 +148,14 @@ class TestProtocol:
             decode_request(b"[1, 2]")
         with pytest.raises(ProtocolError, match="unknown op"):
             decode_request(b'{"op": "explode"}')
+
+    def test_non_finite_think_time_rejected_on_decode(self):
+        # json.loads accepts the NaN literal, so the wire can carry one.
+        scenario = json.dumps(_scenario_payload()).replace('"think_time": 1.0', '"think_time": NaN')
+        request = decode_request(f'{{"op": "solve", "scenario": {scenario}}}'.encode())
+        assert np.isnan(request["scenario"]["think_time"])
+        with pytest.raises(ValueError, match="think_time"):
+            repro.solve(decode_scenario(request["scenario"]), method="mvasd", cache=None)
 
     def test_encode_result_floats_round_trip_exactly(self, two_station_net):
         result = solve(Scenario(two_station_net, 30), method="exact-mva", cache=None)
@@ -364,6 +373,14 @@ class TestServe:
         error = excinfo.value.envelope["error"]
         assert error["type"] == "ProtocolError"
         assert "non-empty list" in error["error"]
+
+    def test_error_envelope_for_non_finite_think_time(self, server):
+        payload = _scenario_payload()
+        payload["think_time"] = float("nan")
+        with ServeClient(port=server["port"]) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.solve(payload, method="mvasd")
+        assert "think_time" in excinfo.value.envelope["error"]["error"]
 
     def test_error_envelope_for_unknown_op(self, server):
         with ServeClient(port=server["port"]) as client:
