@@ -6,8 +6,6 @@ only ever see the per-page average.  The page-level simulator produces
 the full breakdown while preserving the aggregate the models predict.
 """
 
-import numpy as np
-
 from repro.analysis import format_table
 from repro.core import mvasd
 from repro.simulation import simulate_workflow

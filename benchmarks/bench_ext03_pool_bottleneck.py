@@ -8,8 +8,6 @@ idle resources — the signature that would tell a practitioner the model
 scope was violated.
 """
 
-import numpy as np
-
 from repro.analysis import format_table
 from repro.core import mvasd
 from repro.simulation import ConnectionPool, simulate_closed_network

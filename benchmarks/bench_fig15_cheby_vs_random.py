@@ -8,7 +8,6 @@ placement exists precisely to suppress them.
 import numpy as np
 
 from repro.analysis import format_series
-from repro.interpolate import ServiceDemandModel
 from repro.loadtest import run_sweep
 from repro.workflow import design_points
 

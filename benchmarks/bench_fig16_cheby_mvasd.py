@@ -8,7 +8,7 @@ for node-based test design when the test budget is tight.
 
 import numpy as np
 
-from repro.analysis import format_series, mean_percent_deviation
+from repro.analysis import format_series
 from repro.workflow import predict_performance
 
 

@@ -5,8 +5,6 @@ service-demand extraction.  Step 3: spline interpolation + MVASD.
 Run against VINS and validated against the independent dense campaign.
 """
 
-import numpy as np
-
 from repro.analysis import format_table
 from repro.workflow import predict_performance
 

@@ -11,8 +11,6 @@ go?  This example sizes a JPetStore campaign:
 Run:  python examples/chebyshev_test_design.py
 """
 
-import numpy as np
-
 from repro import jpetstore_application, mvasd, run_sweep
 from repro.analysis import format_table, mean_percent_deviation
 from repro.interpolate import exponential_error_bound

@@ -14,8 +14,6 @@ re-solve, not a re-test.  This example:
 Run:  python examples/vins_capacity_planning.py
 """
 
-import numpy as np
-
 from repro import mvasd, run_sweep, vins_application
 from repro.analysis import format_table
 

@@ -20,18 +20,22 @@ grid-of-scenarios pattern:
     serial fallback, and :func:`spawn_seeds` for worker-count-invariant
     seeding.
 ``repro.engine.resilience`` / ``repro.engine.faults``
-    Fault tolerance for long sweeps: the :class:`ResilientBackend`
-    degradation chain (sharded → batched → serial) with bounded
-    :class:`RetryPolicy` retries, crash-safe :class:`SweepCheckpoint`
-    journals keyed on scenario fingerprints, per-scenario
-    :class:`ScenarioFailure` isolation, and the deterministic
-    :class:`FaultPlan` injection harness that proves the recovery paths.
+    Fault tolerance for long sweeps: bounded :class:`RetryPolicy`
+    retries, the :func:`ResilientBackend` constructor (the local
+    fan-out under the default policy), crash-safe
+    :class:`SweepCheckpoint` journals keyed on scenario fingerprints,
+    per-scenario :class:`ScenarioFailure` isolation, and the
+    deterministic :class:`FaultPlan` injection harness that proves the
+    recovery paths.
 ``repro.engine.fabric`` / ``repro.engine.transport``
     The execution fabric: :class:`WorkPlan` partitioning, the
-    transport-agnostic :class:`Dispatcher` (the staged recovery loop,
-    factored out of the resilient backend), and interchangeable
+    transport-agnostic :class:`Dispatcher` (the staged
+    sharded → batched → serial → isolate recovery loop, and the one
+    place fan-out arguments are checked), and interchangeable
     :class:`Transport` implementations — forked local process pools
-    (:class:`LocalProcessTransport`) or a fleet of ``repro worker``
+    (:class:`LocalProcessTransport`, under the one local fan-out
+    backend :class:`ProcessShardedBackend`, labelled
+    ``process-sharded`` or ``resilient``) or a fleet of ``repro worker``
     hosts over the serve protocol (:class:`RemoteTransport`, behind
     ``backend="remote"`` / :class:`RemoteBackend`).
 

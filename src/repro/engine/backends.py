@@ -12,18 +12,25 @@ caching); a backend decides *how* the stack is executed:
     One vectorized :mod:`repro.engine.batched` recursion advancing all
     scenarios together.  Requires the method to register a
     ``batched_kernel``.
-``process-sharded``
-    Splits the stack into contiguous sub-stacks, solves each in a
-    :func:`repro.engine.sweep.parallel_map` worker process (each worker
-    runs the method's best in-process backend), and joins the parts with
+``process-sharded`` / ``resilient``
+    The local fan-out (:class:`ProcessShardedBackend`): a
+    :class:`~repro.engine.fabric.Dispatcher` over a
+    :class:`~repro.engine.transport.LocalProcessTransport` splits the
+    stack into contiguous sub-stacks, solves each in a forked
+    :func:`repro.engine.sweep.parallel_map` worker (each worker runs the
+    method's best in-process backend), and joins the parts with
     :meth:`~repro.engine.batched.ScenarioStack.concat`.  The scenario
     list rides to the workers as the fork-inherited payload, so
     scenarios with unpicklable demand callables shard fine; only the
     chunk *bounds* and the result arrays cross the process boundary.
+    The two names differ only in the retry policy: ``process-sharded``
+    makes one attempt with no shard timeout, ``resilient`` retries with
+    backoff under the default
+    :class:`~repro.engine.resilience.RetryPolicy`.
 
-All three produce trajectories that agree to ≤1e-10 — the parity suite
-in ``tests/test_backends.py`` pins serial vs batched vs sharded for
-every registered method with a kernel.
+All of them produce trajectories that agree bit for bit — the parity
+suite in ``tests/test_backends.py`` pins serial vs batched vs the local
+fan-out for every registered single-class method with a kernel.
 
 This module must not import :mod:`repro.solvers` at module scope (the
 solvers package imports the engine); worker entry points import the
@@ -44,7 +51,6 @@ from .batched import (
     BatchedMultiClassTrajectory,
     BatchedMVAResult,
     ScenarioFailure,
-    ScenarioStack,
     batched_exact_multiclass,
     batched_exact_mva,
     batched_ld_mva,
@@ -371,32 +377,48 @@ def _solve_shard(bounds, payload):
 
 
 class ProcessShardedBackend:
-    """Contiguous sub-stacks fanned out over a local process transport.
+    """Contiguous sub-stacks fanned out over forked worker processes.
 
-    The no-frills fan-out: one :class:`~repro.engine.transport.
-    LocalProcessTransport` round with no retries — a crashed worker is
-    retried in-parent by :func:`parallel_map` itself, and a solver error
-    propagates.  For retries, degradation and checkpointing, use the
-    ``resilient`` backend (a :class:`~repro.engine.fabric.Dispatcher`
-    over the same transport).
+    The one local fan-out backend: a :class:`~repro.engine.fabric.
+    Dispatcher` over a :class:`~repro.engine.transport.
+    LocalProcessTransport`, labelled ``process-sharded`` or
+    ``resilient``.  The name picks the preset retry policy from
+    :data:`~repro.engine.resilience.FAN_OUT_POLICIES`.  Under
+    ``process-sharded`` that is one attempt and no shard timeout: a long
+    shard is never abandoned, and a shard whose worker crashed or raised
+    is solved again in the driver (a deterministic solver error then
+    still propagates).  A retry policy or a checkpoint asks for
+    ``resilient`` (:func:`~repro.engine.resilience.ResilientBackend`),
+    so ``process-sharded`` refuses both.  ``dispatch`` (``policy``,
+    ``checkpoint``, ``errors``, ``sleep``) goes to the dispatcher, which
+    checks it.
     """
 
-    name = "process-sharded"
+    def __init__(
+        self, workers: int | None = None, name: str = "process-sharded", **dispatch
+    ) -> None:
+        from .fabric import Dispatcher  # deferred: fabric builds on this module
+        from .resilience import FAN_OUT_POLICIES
+        from .transport import LocalProcessTransport
 
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = workers
+        if name not in FAN_OUT_POLICIES:
+            raise ValueError(
+                f"unknown local fan-out {name!r}; known: {tuple(FAN_OUT_POLICIES)}"
+            )
+        if name == "process-sharded" and (
+            dispatch.get("policy") is not None or dispatch.get("checkpoint") is not None
+        ):
+            raise ValueError(
+                "process-sharded takes no retry policy or checkpoint; "
+                "use backend='resilient'"
+            )
+        if dispatch.get("policy") is None:
+            dispatch["policy"] = FAN_OUT_POLICIES[name]
+        self.name = name
+        self.dispatcher = Dispatcher(LocalProcessTransport(workers), name=name, **dispatch)
 
     def run(self, spec, scenarios, options):
-        from .transport import LocalProcessTransport  # deferred: imports us
-
-        child_backend = "batched" if spec.batched_kernel else "serial"
-        bounds = shard_bounds(len(scenarios), self.workers)
-        parts = LocalProcessTransport(self.workers).run_shards(
-            bounds,
-            (spec.name, child_backend, list(scenarios), dict(options)),
-            return_exceptions=False,
-        )
-        return ScenarioStack.concat(parts, self.name)
+        return self.dispatcher.run(spec, scenarios, options)
 
 
 def backend_names() -> tuple[str, ...]:
@@ -407,22 +429,19 @@ def backend_names() -> tuple[str, ...]:
 def get_backend(name: str, workers: int | None = None, **kwargs) -> ExecutionBackend:
     """An :class:`ExecutionBackend` instance by name.
 
-    ``workers`` only affects ``process-sharded`` and ``resilient``; the
-    in-process backends ignore it.  ``kwargs`` (retry policy,
-    checkpoint, error mode — plus ``hosts`` for ``remote``) are
-    forwarded to :class:`~repro.engine.resilience.ResilientBackend` /
+    ``workers`` only affects the local fan-out, ``process-sharded`` and
+    ``resilient``; the in-process backends ignore it.  The name picks
+    the fan-out's label and its preset retry policy.  ``kwargs`` (retry
+    policy, checkpoint, error mode — plus ``hosts`` for ``remote``) are
+    forwarded to :class:`ProcessShardedBackend` or
     :class:`~repro.engine.fabric.RemoteBackend`.
     """
     if name == "serial":
         return SerialBackend()
     if name == "batched":
         return BatchedBackend()
-    if name == "process-sharded":
-        return ProcessShardedBackend(workers=workers)
-    if name == "resilient":
-        from .resilience import ResilientBackend  # deferred: builds on this module
-
-        return ResilientBackend(workers=workers, **kwargs)
+    if name in ("process-sharded", "resilient"):
+        return ProcessShardedBackend(workers, name=name, **kwargs)
     if name == "remote":
         from .fabric import RemoteBackend  # deferred: builds on this module
 

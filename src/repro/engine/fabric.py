@@ -1,11 +1,9 @@
 """The execution fabric: plan → dispatch → transport, as separate layers.
 
-Before this module, shard partitioning, retry/backoff, checkpoint
-journaling and result reassembly lived twice — entangled inside
-:class:`~repro.engine.backends.ProcessShardedBackend` and
-:class:`~repro.engine.resilience.ResilientBackend` — and both were
-welded to the local fork pool.  The fabric splits the execution plane
-into three layers with one owner each:
+Shard partitioning, retry/backoff, checkpoint journaling and result
+reassembly live here once, for every fan-out backend, local or remote.
+The fabric splits the execution plane into three layers with one owner
+each:
 
 :class:`WorkPlan` (*planning*)
     What to solve: the contiguous :class:`WorkShard` slices of a stack
@@ -31,7 +29,9 @@ into three layers with one owner each:
 checks (wire-encodability), a :class:`RemoteTransport` over the given
 ``hosts``, and a :class:`Dispatcher` — which is exactly why remote
 sweeps get kill-and-resume journaling and local degradation *for free*:
-they are the same code path the ``resilient`` backend runs locally.
+they are the same code path the local fan-out
+(:class:`~repro.engine.backends.ProcessShardedBackend`, labelled
+``process-sharded`` or ``resilient``) runs over forked workers.
 """
 
 from __future__ import annotations
@@ -49,11 +49,11 @@ from .resilience import (
     solve_isolated,
     solve_isolated_batched,
 )
+from .transport import DEFAULT_SHARDS_PER_HOST, RemoteTransport, Transport, parse_hosts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..solvers.registry import SolverSpec
     from ..solvers.scenario import Scenario
-    from .transport import Transport
 
 __all__ = [
     "Dispatcher",
@@ -148,14 +148,18 @@ class Dispatcher:
     The parts, in shard order, are joined with
     :meth:`~repro.engine.batched.ScenarioStack.concat`.
 
-    This is byte-for-byte the recovery behaviour the ``resilient``
-    backend always had — :class:`ResilientBackend` now *is* this class
-    over a :class:`~repro.engine.transport.LocalProcessTransport`.
+    Every fan-out backend is this class over a transport: the local
+    :class:`~repro.engine.backends.ProcessShardedBackend` (both
+    ``process-sharded`` and ``resilient``, which differ only in their
+    :class:`~repro.engine.resilience.RetryPolicy`) and
+    :class:`RemoteBackend`.  The ``errors``, ``checkpoint`` and
+    ``policy`` arguments of all of them are checked here, when the
+    backend is built.
     """
 
     def __init__(
         self,
-        transport: "Transport",
+        transport: Transport,
         name: str | None = None,
         policy: RetryPolicy | None = None,
         checkpoint: SweepCheckpoint | str | None = None,
@@ -324,7 +328,12 @@ class RemoteBackend:
     over ``hosts`` with a :class:`Dispatcher` — so remote sweeps share
     the ``resilient`` backend's retry/backoff, checkpoint journaling and
     in-process degradation verbatim.  A fleet that dies entirely never
-    aborts the sweep: the dispatcher finishes it locally.
+    aborts the sweep: the dispatcher finishes it locally.  ``dispatch``
+    (``policy``, ``checkpoint``, ``errors``, ``sleep``) goes to the
+    dispatcher, which checks it.  The transport's connections are closed
+    after every run and reopened by the next; its elastic counters
+    (``overload_retries``, ``readmissions``) add up over the backend's
+    runs.
     """
 
     name = "remote"
@@ -332,62 +341,27 @@ class RemoteBackend:
     def __init__(
         self,
         hosts: Sequence[str | tuple] | str = (),
-        policy: RetryPolicy | None = None,
-        checkpoint: SweepCheckpoint | str | None = None,
-        errors: str = "raise",
-        shards_per_host: int | None = None,
+        shards_per_host: int = DEFAULT_SHARDS_PER_HOST,
         connect_timeout: float = 10.0,
         membership=None,
         reprobe_interval: float = 0.5,
-        sleep: Callable[[float], None] = time.sleep,
+        **dispatch,
     ) -> None:
-        from .transport import DEFAULT_SHARDS_PER_HOST, parse_hosts
-
         if isinstance(hosts, str):
             hosts = parse_hosts(hosts)
-        self.hosts = tuple(hosts)
-        self.membership = membership
-        if not self.hosts and membership is None:
-            raise ValueError("remote backend needs worker hosts or a membership")
-        if errors not in ("raise", "isolate"):
-            raise ValueError(f"errors must be 'raise' or 'isolate', got {errors!r}")
-        self.policy = policy if policy is not None else RetryPolicy()
-        if checkpoint is not None and not isinstance(checkpoint, SweepCheckpoint):
-            checkpoint = SweepCheckpoint(checkpoint)
-        self.checkpoint = checkpoint
-        self.errors = errors
-        self.shards_per_host = (
-            DEFAULT_SHARDS_PER_HOST if shards_per_host is None else int(shards_per_host)
+        self.transport = RemoteTransport(
+            hosts,
+            connect_timeout=connect_timeout,
+            shards_per_host=shards_per_host,
+            membership=membership,
+            reprobe_interval=reprobe_interval,
         )
-        self.connect_timeout = float(connect_timeout)
-        self.reprobe_interval = float(reprobe_interval)
-        self._sleep = sleep
-        #: The transport of the most recent run — how callers read the
-        #: elastic counters (overload_retries, readmissions) afterwards.
-        self.last_transport = None
+        self.dispatcher = Dispatcher(self.transport, name=self.name, **dispatch)
 
     def run(self, spec, scenarios, options):
-        from .transport import RemoteTransport
-
         scenarios = list(scenarios)
         _check_remote_capability(spec, scenarios, options)
-        transport = RemoteTransport(
-            self.hosts,
-            connect_timeout=self.connect_timeout,
-            shards_per_host=self.shards_per_host,
-            membership=self.membership,
-            reprobe_interval=self.reprobe_interval,
-        )
-        self.last_transport = transport
         try:
-            dispatcher = Dispatcher(
-                transport,
-                name=self.name,
-                policy=self.policy,
-                checkpoint=self.checkpoint,
-                errors=self.errors,
-                sleep=self._sleep,
-            )
-            return dispatcher.run(spec, scenarios, options)
+            return self.dispatcher.run(spec, scenarios, options)
         finally:
-            transport.close()
+            self.transport.close()

@@ -10,8 +10,10 @@ protocol the healthy backends implement:
 :class:`RetryPolicy`
     Bounded retries with exponential backoff and a per-shard timeout —
     the knobs of every recovery decision in one frozen value object.
-:class:`ResilientBackend`
-    The graceful-degradation chain *sharded → batched → serial*: shards
+:func:`ResilientBackend`
+    Builds the ``resilient`` backend: the local fan-out
+    (:class:`~repro.engine.backends.ProcessShardedBackend`) with the
+    graceful-degradation chain *sharded → batched → serial*: shards
     are fanned out with a per-shard timeout; shards that crash or time
     out are retried (new pool, backoff) up to the policy bound; shards
     that still fail are re-solved in-process with the method's batched
@@ -44,15 +46,15 @@ import hashlib
 import io
 import json
 import os
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
 from . import faults
 from .backends import (
+    ProcessShardedBackend,
     _failure_record,
     _kernel_input,
     _kernel_input_shape,
@@ -129,6 +131,16 @@ class RetryPolicy:
         )
 
 
+#: The local fan-out's retry policy under each of its backend names.
+#: ``process-sharded`` makes one attempt with no shard timeout: a long
+#: shard is never abandoned, and a failed one goes straight to the
+#: in-driver re-solve.  ``resilient`` retries with backoff.
+FAN_OUT_POLICIES = {
+    "process-sharded": RetryPolicy(max_retries=0, shard_timeout=None),
+    "resilient": RetryPolicy(),
+}
+
+
 def solve_isolated(
     spec: "SolverSpec",
     scenarios: Sequence["Scenario"],
@@ -138,7 +150,7 @@ def solve_isolated(
     """Solve each scenario alone, isolating failures instead of aborting.
 
     The per-scenario last resort behind ``solve_stack(errors="isolate")``
-    and the final stage of :class:`ResilientBackend`: successful
+    and the final stage of the dispatcher's chain: successful
     scenarios get exactly the rows the ``serial`` backend would produce
     (it is the same :func:`~repro.engine.backends.solve_each` loop);
     failed scenarios contribute NaN rows plus a :class:`ScenarioFailure`
@@ -295,67 +307,19 @@ class SweepCheckpoint:
                 pass
 
 
-class ResilientBackend:
-    """The sharded → batched → serial graceful-degradation chain.
+def ResilientBackend(workers: int | None = None, **dispatch):
+    """The ``resilient`` backend: the local fan-out with bounded retries.
 
-    Implements the :class:`~repro.engine.backends.ExecutionBackend`
-    protocol.  Execution proceeds in stages, and only *failed* work is
-    ever redone:
-
-    1. **Sharded attempts** — contiguous shards fan out over
-       :func:`~repro.engine.sweep.parallel_map` workers with the
-       policy's per-shard timeout; shards whose worker crashes
-       (``BrokenProcessPool``), wedges (timeout) or errors are retried
-       with exponential backoff, in a fresh pool, up to
-       ``policy.max_retries`` times.  Completed shards are journaled to
-       the checkpoint (if any) as they land.
-    2. **In-process degradation** — shards that exhaust their retries
-       are re-solved in the driver: first through the method's batched
-       kernel (if registered), then through the serial per-scenario
-       loop.
-    3. **Per-scenario isolation** — scenarios that still fail are
-       raised (``errors="raise"``) or recorded as
-       :class:`~repro.engine.batched.ScenarioFailure` entries with NaN
-       result rows (``errors="isolate"``) via :func:`solve_isolated`.
-
-    The attempt counter published to :mod:`repro.engine.faults` is
-    monotone across stages, so a deterministic fault armed for attempt 0
-    fires exactly once and every later stage observes a healthy system —
-    which is what makes recovery-parity tests exact.
+    A constructor, not a class: it builds the
+    :class:`~repro.engine.backends.ProcessShardedBackend` under the name
+    ``resilient``, whose policy defaults to :class:`RetryPolicy` instead
+    of the one-attempt preset.  Its
+    :class:`~repro.engine.fabric.Dispatcher` retries failed shards with
+    backoff and per-shard timeouts, re-solves the ones that exhaust
+    their retries in the driver (batched kernel, then serial loop), and
+    raises or isolates the scenarios that still fail; only failed work
+    is ever redone.  ``dispatch`` (``policy``, ``checkpoint``,
+    ``errors``, ``sleep``) is checked by the dispatcher when the backend
+    is built.
     """
-
-    name = "resilient"
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        policy: RetryPolicy | None = None,
-        checkpoint: SweepCheckpoint | str | os.PathLike | None = None,
-        errors: str = "raise",
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if errors not in ("raise", "isolate"):
-            raise ValueError(f"errors must be 'raise' or 'isolate', got {errors!r}")
-        self.workers = workers
-        self.policy = policy if policy is not None else RetryPolicy()
-        if checkpoint is not None and not isinstance(checkpoint, SweepCheckpoint):
-            checkpoint = SweepCheckpoint(checkpoint)
-        self.checkpoint = checkpoint
-        self.errors = errors
-        self._sleep = sleep
-
-    def run(self, spec, scenarios, options):
-        # The staged loop itself lives in the transport-agnostic
-        # Dispatcher; this backend is its local-process instantiation.
-        from .fabric import Dispatcher  # deferred: fabric builds on this module
-        from .transport import LocalProcessTransport
-
-        dispatcher = Dispatcher(
-            LocalProcessTransport(self.workers),
-            name=self.name,
-            policy=self.policy,
-            checkpoint=self.checkpoint,
-            errors=self.errors,
-            sleep=self._sleep,
-        )
-        return dispatcher.run(spec, scenarios, options)
+    return ProcessShardedBackend(workers, name="resilient", **dispatch)

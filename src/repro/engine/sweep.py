@@ -227,8 +227,9 @@ def parallel_map(
 
     With ``return_exceptions=True`` neither is retried or raised:
     failed items come back as their exception objects in the results
-    list, which is how :class:`repro.engine.resilience.ResilientBackend`
-    implements its own retry/backoff policy on top of this primitive.
+    list, which is how the fabric's :class:`~repro.engine.fabric.
+    Dispatcher` implements the local fan-out's retry policy and
+    in-driver re-solve on top of this primitive.
     ``KeyboardInterrupt`` always cancels outstanding work and shuts the
     pool down without waiting before re-raising.
 

@@ -13,8 +13,9 @@ interchangeable underneath the same retry/checkpoint machinery.
     Shards fan out over :func:`repro.engine.sweep.parallel_map` fork
     workers — the scenario list rides as the fork-inherited payload, so
     nothing but shard bounds and result arrays crosses the process
-    boundary.  This is the transport under both ``process-sharded`` and
-    ``resilient``.
+    boundary.  This is the transport under the local fan-out,
+    :class:`~repro.engine.backends.ProcessShardedBackend`, which runs as
+    both ``process-sharded`` and ``resilient``.
 :class:`RemoteTransport`
     Shards are serialized over the ``repro serve`` JSON-lines protocol
     to a fleet of ``repro worker`` processes (one persistent socket per

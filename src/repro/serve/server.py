@@ -51,6 +51,7 @@ from ..solvers.cache import SolverCache
 from .protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
+    _encode_failures,
     decode_request,
     decode_scenario,
     encode_result,
@@ -390,16 +391,7 @@ class SolverServer:
             "solver": result.solver,
             "count": result.n_scenarios,
             "peak_throughput": result.peak_throughput().tolist(),
-            "failures": [
-                {
-                    "index": f.index,
-                    "fingerprint": f.fingerprint,
-                    "solver": f.solver,
-                    "error": f.error,
-                    "retries": f.retries,
-                }
-                for f in result.failures
-            ],
+            "failures": _encode_failures(result),
         }
         return payload, _provenance_label(counts)
 

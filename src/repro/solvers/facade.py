@@ -527,11 +527,15 @@ def solve_stack(
     the stack reaches :data:`AUTO_SHARD_THRESHOLD` scenarios — callers
     never branch on the backend.  ``backend="batched"`` insists on a
     kernel; ``"serial"`` (alias ``"scalar"``) forces the per-scenario
-    loop; ``"process-sharded"`` forces the fan-out; ``"resilient"``
-    routes through the :mod:`repro.engine.resilience` degradation chain
-    (sharded → batched → serial) with bounded retries.  The result's
-    ``backend`` attribute records which one ran, and ``solver`` names
-    the concrete method (``stacked-<name>`` for serial runs).
+    loop; ``"process-sharded"`` forces the local fan-out over forked
+    workers (one attempt, no shard timeout: a failed shard is solved
+    again in the driver); ``"resilient"`` is the same fan-out with
+    bounded retries and backoff (:class:`~repro.engine.resilience.
+    RetryPolicy`).  Both run the fabric's
+    :class:`~repro.engine.fabric.Dispatcher` degradation chain
+    (sharded → batched → serial).  The result's ``backend`` attribute
+    records which one ran, and ``solver`` names the concrete method
+    (``stacked-<name>`` for serial runs).
 
     Fault-tolerance knobs
     ---------------------
@@ -540,7 +544,8 @@ def solve_stack(
         ``"isolate"`` contains failures — failed scenarios become
         :class:`~repro.engine.batched.ScenarioFailure` records on
         ``result.failures`` with NaN trajectory rows, while every
-        healthy scenario keeps its exact result.
+        healthy scenario keeps its exact result.  The fan-out backends
+        isolate per shard: only a failed shard is solved again.
     retry_policy:
         A :class:`~repro.engine.resilience.RetryPolicy` bounding shard
         retries, backoff and per-shard timeouts.  Implies
@@ -662,6 +667,7 @@ def solve_stack(
             hit, _ = store.fetch(key)
             if hit is not None:
                 return hit
+    dispatch = {"policy": retry_policy, "checkpoint": checkpoint, "errors": errors}
     if resolved == "remote":
         membership, ephemeral = _resolve_fleet(fleet)
         try:
@@ -669,37 +675,30 @@ def solve_stack(
                 "remote",
                 hosts=hosts if hosts is not None else (),
                 membership=membership,
-                policy=retry_policy,
-                checkpoint=checkpoint,
-                errors=errors,
+                **dispatch,
             )
             result = runner.run(spec, scenarios, options)
         finally:
             if ephemeral is not None:
                 ephemeral.stop()
-    elif resolved == "resilient":
-        runner = get_backend(
-            "resilient",
-            workers=workers,
-            policy=retry_policy,
-            checkpoint=checkpoint,
-            errors=errors,
-        )
+    elif resolved in ("process-sharded", "resilient"):
+        # The local fan-out: one Dispatcher, which isolates per shard.
+        runner = get_backend(resolved, workers=workers, **dispatch)
         result = runner.run(spec, scenarios, options)
     elif errors == "isolate":
         try:
-            result = get_backend(resolved, workers=workers).run(spec, scenarios, options)
+            result = get_backend(resolved).run(spec, scenarios, options)
         except Exception:
             from ..engine.resilience import solve_isolated, solve_isolated_batched
 
-            if resolved != "serial" and spec.batched_kernel is not None:
+            if resolved == "batched":
                 # Mask the poisoned scenarios out of the kernel instead of
                 # demoting every healthy row to the serial loop.
                 result = solve_isolated_batched(spec, scenarios, options)
             else:
                 result = solve_isolated(spec, scenarios, options)
     else:
-        result = get_backend(resolved, workers=workers).run(spec, scenarios, options)
+        result = get_backend(resolved).run(spec, scenarios, options)
     if not result.failures and result.backend != resolved:
         result = replace(result, backend=resolved)
     if store is not None and key is not None and not result.failures:

@@ -148,10 +148,10 @@ class WorkloadClass:
                 f"class {self.name!r}: population must be non-negative, "
                 f"got {self.population}"
             )
-        if self.think_time < 0:
+        if not np.isfinite(self.think_time) or self.think_time < 0:
             raise SolverInputError(
-                f"class {self.name!r}: think_time must be non-negative, "
-                f"got {self.think_time}"
+                f"class {self.name!r}: think_time must be finite and "
+                f"non-negative, got {self.think_time}"
             )
         for station, demand in self.demands.items():
             if not callable(demand) and float(demand) < 0:
@@ -293,9 +293,12 @@ class Scenario:
             matrix = matrix.copy()
             matrix.setflags(write=False)
             object.__setattr__(self, "demand_matrix", matrix)
-        if self.think_time is not None and self.think_time < 0:
+        if self.think_time is not None and (
+            not np.isfinite(self.think_time) or self.think_time < 0
+        ):
             raise SolverInputError(
-                f"scenario: think_time must be non-negative, got {self.think_time}"
+                f"scenario: think_time must be finite and non-negative, "
+                f"got {self.think_time}"
             )
         if self.classes is not None:
             classes = tuple(self.classes)

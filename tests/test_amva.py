@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    ClosedNetwork,
-    Station,
     approximate_multiserver_mva,
     exact_multiserver_mva,
     exact_mva,

@@ -1,6 +1,5 @@
 """Application models (VINS / JPetStore / three-tier builder)."""
 
-import numpy as np
 import pytest
 
 from repro.apps import (

@@ -1,24 +1,32 @@
-"""Execution-backend parity: serial, batched and process-sharded agree.
+"""Execution-backend parity: serial, batched and the local fan-out agree.
 
 The PR-4 acceptance bar: for every registered method with a batched
 kernel, the `process-sharded` stack result and the cached-hit result
 match the serial/batched paths to ≤1e-10; methods without a kernel
-shard over their serial loop just as faithfully.
+shard over their serial loop just as faithfully.  A hypothesis property
+holds the four local paths (serial, batched, process-sharded, resilient)
+to bit-identical agreement on random stacks, with and without faults.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.network import ClosedNetwork, Station
-from repro.engine import get_backend
+from repro.engine import FaultPlan, faults, get_backend
 from repro.solvers import (
     Scenario,
     SolverCache,
     SolverCapabilityError,
+    get_solver,
     list_solvers,
     solve,
     solve_stack,
 )
+from tests.fixtures.stack_compat import assert_same_stack
 
 ATOL = 1e-10
 
@@ -246,3 +254,143 @@ class TestCapabilityMatrix:
         out = capsys.readouterr().out
         assert "scenarios solved in one batch" in out
         assert "[process-sharded]" in out
+
+
+# -- one property across the local paths ---------------------------------------
+
+#: Network kind -> the single-class kernel methods that accept it.  The
+#: multi-server and varying-demand networks carry multi-server stations.
+KERNEL_METHODS_BY_KIND = {
+    "constant": BATCHED_METHODS,
+    "multiserver": [m for m in BATCHED_METHODS if get_solver(m).multiserver],
+    "varying": [m for m in BATCHED_METHODS if get_solver(m).multiserver],
+}
+
+TRAJECTORY = ("throughput", "response_time", "queue_lengths", "utilizations")
+
+
+@st.composite
+def local_stacks(draw):
+    """``(method, stack)``: a small random stack and a kernel method for it."""
+    kind = draw(st.sampled_from(sorted(KERNEL_METHODS_BY_KIND)))
+    method = draw(st.sampled_from(KERNEL_METHODS_BY_KIND[kind]))
+    stations = []
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        demand = draw(st.floats(min_value=0.005, max_value=0.1))
+        servers = 1 if kind == "constant" else draw(st.integers(min_value=1, max_value=4))
+        if kind == "varying":
+            slope = draw(st.floats(min_value=0.0, max_value=0.002))
+            stations.append(
+                Station(f"s{i}", demand=lambda n, d=demand, m=slope: d + m * n,
+                        servers=servers)
+            )
+        else:
+            stations.append(Station(f"s{i}", demand=demand, servers=servers))
+    net = ClosedNetwork(stations, think_time=1.0)
+    population = draw(st.integers(min_value=2, max_value=12))
+    thinks = draw(
+        st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=2, max_size=5)
+    )
+    return method, [
+        Scenario(net, population, think_time=z, demand_level=1.0) for z in thinks
+    ]
+
+
+def _assert_rows_equal(got, want, rows):
+    for name in TRAJECTORY:
+        np.testing.assert_array_equal(getattr(got, name)[rows], getattr(want, name)[rows])
+
+
+def _persistent_poison(scenario: int) -> FaultPlan:
+    """``raise-in-kernel`` on every attempt the no-retry preset makes.
+
+    The dispatcher's attempt counter is monotone: the fan-out is attempt
+    0, the in-driver batched and serial re-solves are 1 and 2, and the
+    isolation pass is 3.  A fault armed for attempt 0 alone is escaped
+    by the re-solve; a scenario that fails for good fails on all four.
+    """
+    return FaultPlan.parse(
+        ";".join(f"raise-in-kernel@scenario={scenario},attempt={a}" for a in range(4))
+    )
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=local_stacks(), data=st.data())
+def test_local_paths_agree(case, data):
+    method, stack = case
+    serial = solve_stack(stack, method=method, backend="serial", cache=None)
+    batched = solve_stack(stack, method=method, backend="batched", cache=None)
+    _assert_rows_equal(batched, serial, slice(None))
+    for backend in ("process-sharded", "resilient"):
+        fanned = solve_stack(stack, method=method, backend=backend, workers=2, cache=None)
+        assert fanned.backend == backend
+        assert_same_stack(replace(fanned, backend="batched"), batched)
+
+    # A crashed worker's shard is solved again in the driver.
+    with faults.injected(FaultPlan.parse("crash-worker@shard=0")):
+        crashed = solve_stack(
+            stack, method=method, backend="process-sharded", workers=2, cache=None
+        )
+    assert_same_stack(replace(crashed, backend="batched"), batched)
+
+    # Isolation is per shard: only the poisoned scenario fails, at its
+    # full-stack index, and every other row is the serial row.
+    k = data.draw(st.integers(min_value=0, max_value=len(stack) - 1), label="poisoned")
+    with faults.injected(_persistent_poison(k)):
+        isolated = solve_stack(
+            stack, method=method, backend="process-sharded", workers=2,
+            cache=None, errors="isolate",
+        )
+    assert [f.index for f in isolated.failures] == [k]
+    assert np.isnan(isolated.throughput[k]).all()
+    healthy = [i for i in range(len(stack)) if i != k]
+    _assert_rows_equal(isolated, serial, healthy)
+
+
+@pytest.mark.parametrize("backend", ["serial", "batched", "process-sharded", "resilient"])
+def test_solver_error_raises_on_every_local_path(backend):
+    def breaks_past_three(n):
+        if n > 3:
+            raise ZeroDivisionError("demand model undefined past n=3")
+        return 0.02
+
+    net = ClosedNetwork(
+        [Station("web", demand=breaks_past_three), Station("db", demand=0.05)],
+        think_time=1.0,
+    )
+    stack = [Scenario(net, 8, think_time=z) for z in (0.5, 1.0, 1.5, 2.0)]
+    with pytest.raises(ZeroDivisionError, match="undefined past"):
+        solve_stack(stack, method="mvasd", backend=backend, workers=2, cache=None)
+
+
+def test_isolated_failure_counts_the_attempts_of_its_shard():
+    # Under process-sharded a poisoned shard is tried three times before
+    # isolation: the fan-out, then the in-driver batched and serial
+    # re-solves.  Its failure record carries that count; the healthy
+    # shard's scenarios carry none.
+    net = ClosedNetwork([Station("web", 0.02), Station("db", 0.05)], think_time=1.0)
+    stack = [Scenario(net, 8, think_time=z) for z in (0.5, 1.0, 1.5, 2.0)]
+    with faults.injected(_persistent_poison(1)):
+        result = solve_stack(
+            stack, method="exact-mva", backend="process-sharded", workers=2,
+            cache=None, errors="isolate",
+        )
+    assert result.backend == "process-sharded"
+    assert [(f.index, f.retries) for f in result.failures] == [(1, 3)]
+
+
+def test_fan_out_name_picks_its_preset():
+    from repro.engine.resilience import FAN_OUT_POLICIES, RetryPolicy
+
+    sharded = get_backend("process-sharded", workers=2)
+    resilient = get_backend("resilient", workers=2)
+    assert (sharded.name, resilient.name) == ("process-sharded", "resilient")
+    assert sharded.dispatcher.policy == RetryPolicy(max_retries=0, shard_timeout=None)
+    assert resilient.dispatcher.policy == FAN_OUT_POLICIES["resilient"] == RetryPolicy()
+    # A retry policy or a checkpoint asks for the resilient backend.
+    with pytest.raises(ValueError, match="resilient"):
+        get_backend("process-sharded", policy=RetryPolicy())
+    with pytest.raises(ValueError, match="resilient"):
+        get_backend("process-sharded", checkpoint="journal.jsonl")
+    with pytest.raises(ValueError, match="unknown local fan-out"):
+        type(sharded)(2, name="remote")

@@ -1,7 +1,5 @@
 """Chebyshev nodes and error bounds (Section 8)."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -1,6 +1,5 @@
 """Eq. 15 deviation metric and sweep scoring."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import deviation_against_sweep, mean_percent_deviation

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.loadtest import run_sweep
 from repro.loadtest.inference import (
-    DemandEstimate,
     regress_demands,
     windowed_observations,
 )

@@ -1,11 +1,9 @@
 """Cross-module integration: the paper's claims end-to-end (scaled down)."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import compare_models, deviation_against_sweep
 from repro.core import exact_multiserver_mva, mvasd
-from repro.loadtest import run_sweep
 from repro.loadtest.runner import extract_demands
 from repro.workflow import predict_performance
 

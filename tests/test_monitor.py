@@ -1,7 +1,5 @@
 """Utilization monitors (vmstat/iostat/netstat, eq. 7)."""
 
-import math
-
 import pytest
 
 from repro.loadtest import LoadTest, NetworkMonitorConfig, monitor_utilizations

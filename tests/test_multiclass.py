@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ClosedNetwork, Station, exact_multiclass_mva, exact_mva
+from repro.core import exact_multiclass_mva, exact_mva
 
 
 class TestMultiClassMVA:

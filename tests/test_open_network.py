@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ClosedNetwork, Station
-from repro.core.open_network import OpenResult, analyze_open, erlang_b, erlang_c
+from repro.core.open_network import analyze_open, erlang_b, erlang_c
 
 
 class TestErlangFormulas:

@@ -3,8 +3,6 @@
 import importlib
 import inspect
 
-import pytest
-
 import repro
 
 

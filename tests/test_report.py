@@ -1,7 +1,5 @@
 """Load-test report rendering."""
 
-import pytest
-
 from repro.loadtest import sweep_summary_text, utilization_table_text
 
 

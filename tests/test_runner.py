@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.loadtest import run_sweep
-from repro.loadtest.runner import LoadTestSweep, extract_demands
+from repro.loadtest.runner import extract_demands
 
 
 class TestRunSweep:

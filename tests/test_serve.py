@@ -288,6 +288,30 @@ class TestServe:
         # heavier demand -> lower peak throughput
         assert result["peak_throughput"][0] > result["peak_throughput"][2]
 
+    def test_solve_stack_isolated_failure_wire_bytes(self):
+        # The summary reply carries failure records in the same encoding
+        # as the full stack codec; pin the bytes a client reads.
+        proc, port = _start_server(extra=("--inject-faults", "raise-in-kernel@scenario=1"))
+        scenarios = [_scenario_payload(cpu=c, n=20) for c in (0.04, 0.05, 0.09)]
+        request = {"id": 7, "op": "solve_stack", "scenarios": scenarios, "method": "exact-mva"}
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+                sock.sendall(json.dumps(request).encode() + b"\n")
+                reply = sock.makefile("rb").readline()
+        finally:
+            _stop_server(proc, port)
+        fingerprint = decode_scenario(scenarios[1]).fingerprint()
+        failures = (
+            '"failures": [{"index": 1, "fingerprint": "' + fingerprint + '", '
+            '"solver": "exact-mva", "error": "InjectedFault: injected '
+            'raise-in-kernel at kernel (shard=None, scenario=1, attempt=0)", '
+            '"retries": 0}]'
+        )
+        assert failures.encode() in reply
+        result = json.loads(reply)["result"]
+        assert result["count"] == 3
+        assert np.isnan(result["peak_throughput"][1])
+
     def test_bottlenecks(self, server):
         payload = _scenario_payload(cpu=0.03, disk=0.11, n=25)
         with ServeClient(port=server["port"]) as client:

@@ -1,6 +1,5 @@
 """Connection pools (software bottlenecks) in the simulator."""
 
-import numpy as np
 import pytest
 
 from repro.core import ClosedNetwork, Station, exact_multiserver_mva

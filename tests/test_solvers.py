@@ -133,6 +133,13 @@ class TestScenario:
         with pytest.raises(SolverInputError, match="shape"):
             Scenario(single_server_net, 10, demand_matrix=np.ones((5, 2)))
 
+    @pytest.mark.parametrize("think", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_think_time_rejected(self, single_server_net, think):
+        with pytest.raises(SolverInputError, match="think_time must be finite"):
+            Scenario(single_server_net, 5, think_time=think)
+        with pytest.raises(SolverInputError, match="think_time must be finite"):
+            WorkloadClass("browse", 3, {"web": 0.02, "db": 0.05}, think_time=think)
+
     def test_structure_flags(self, single_server_net, multiserver_net, varying_net):
         assert not Scenario(single_server_net, 5).is_multiserver
         assert Scenario(multiserver_net, 5).is_multiserver

@@ -1,6 +1,5 @@
 """Page-level workflow simulation."""
 
-import numpy as np
 import pytest
 
 from repro.apps import jpetstore_application, vins_application
