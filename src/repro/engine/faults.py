@@ -73,6 +73,7 @@ by ``;``, parameters by ``,`` — e.g.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -293,6 +294,8 @@ def fired() -> list[tuple[str, str, int | None, int | None, int]]:
 #: re-arming the same plan object does not resurrect them (``activate``
 #: clears this alongside ``_fired``).
 _consumed: set[int] = set()
+#: Makes consuming a fault atomic: a remote host's pumps race for it.
+_consume_lock = threading.Lock()
 
 
 def take_one_shot(point: str, shard: int | None = None) -> Fault | None:
@@ -308,16 +311,18 @@ def take_one_shot(point: str, shard: int | None = None) -> Fault | None:
     consumed; later calls skip it.  Returns ``None`` when nothing is
     armed or everything matching is already consumed.
     """
-    if _plan is None:
+    plan = _plan
+    if plan is None:
         return None
-    for fault in _plan.faults:
-        if fault.point != point or id(fault) in _consumed:
-            continue
-        if fault.shard is not None and shard is not None and shard != fault.shard:
-            continue
-        _consumed.add(id(fault))
-        _fired.append((fault.kind, point, fault.shard, None, _attempt))
-        return fault
+    with _consume_lock:
+        for fault in plan.faults:
+            if fault.point != point or id(fault) in _consumed:
+                continue
+            if fault.shard is not None and shard is not None and shard != fault.shard:
+                continue
+            _consumed.add(id(fault))
+            _fired.append((fault.kind, point, fault.shard, None, _attempt))
+            return fault
     return None
 
 

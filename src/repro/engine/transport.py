@@ -18,8 +18,9 @@ interchangeable underneath the same retry/checkpoint machinery.
     both ``process-sharded`` and ``resilient``.
 :class:`RemoteTransport`
     Shards are serialized over the ``repro serve`` JSON-lines protocol
-    to a fleet of ``repro worker`` processes (one persistent socket per
-    host, one pump thread per host draining a shared shard queue).
+    to a fleet of ``repro worker`` processes: :data:`CONNECTIONS_PER_HOST`
+    persistent sockets per host, each with its own pump thread, all
+    draining one shared shard queue, so a host has two shards in flight.
     Scenario sub-stacks ship fingerprint-verified — a worker refuses a
     shard whose decoded scenarios do not hash to the fingerprints the
     driver computed, so codec drift degrades to a local re-solve
@@ -30,11 +31,13 @@ interchangeable underneath the same retry/checkpoint machinery.
 
 Failure model of the remote transport: a connection-level failure
 (refused, reset, timeout, or an injected ``drop-connection`` fault)
-retires that host *for the round* — its pump thread exits, surviving
-hosts drain the rest of the queue, and the failed shard surfaces as an
-exception for the dispatcher to retry.  Retirement is no longer final
-even within a round: while at least one pump is still draining the
-queue, a monitor thread re-probes retired hosts (and any host newly
+retires that *connection* for the round — its pump thread exits, the
+host's other connection and the surviving hosts drain the rest of the
+queue, and the failed shard surfaces as an exception for the
+dispatcher to retry.  A dead host fails both its connections, each on
+its own shard.  Retirement is no longer final even within a round:
+while at least one pump is still draining the queue, a monitor thread
+re-probes retired connections (and every connection of a host newly
 published by an elastic *membership* source, e.g. a
 :class:`~repro.engine.supervisor.FleetSupervisor` that relaunched a
 crashed worker on a fresh port) and starts a new pump the moment a
@@ -76,6 +79,13 @@ __all__ = [
 #: hosts keeps fast workers busy while slow ones finish, and bounds how
 #: much work one dead host can take down with it.
 DEFAULT_SHARDS_PER_HOST = 4
+
+#: Shards in flight per remote host, one connection and pump thread
+#: each.  A worker solves one shard at a time, so while it solves one,
+#: the second waits in its admission queue and the driver encodes the
+#: next request or decodes the last reply.  A third would only queue
+#: behind the same solve slot and hold one more reply in memory.
+CONNECTIONS_PER_HOST = 2
 
 _UNSET = object()
 
@@ -183,18 +193,21 @@ def parse_hosts(text: str, default_port: int = 7173) -> list[tuple[str, int]]:
 class RemoteTransport:
     """Shards solved by ``repro worker`` processes over JSON lines.
 
-    One persistent :class:`~repro.serve.client.ServeClient` connection
-    per ``(host, port)`` endpoint, reused across dispatcher rounds.
+    :data:`CONNECTIONS_PER_HOST` persistent
+    :class:`~repro.serve.client.ServeClient` connections per
+    ``(host, port)`` endpoint, one pump thread each, reused across
+    dispatcher rounds; connections and pumps are keyed by
+    ``(endpoint, slot)``.  A lost connection retires only its slot.
     Membership is **elastic**: pass ``membership=`` (any object with a
     ``hosts()`` method returning the current ``[(host, port), ...]`` —
     a :class:`~repro.engine.supervisor.FleetSupervisor` qualifies) and
     each ``run_shards`` round tracks it live — hosts that join mid-round
-    start draining the shared shard queue immediately, retired hosts
-    are re-probed every ``reprobe_interval`` seconds while the round is
-    still in progress, and hosts the membership dropped (quarantined)
-    stop being probed.  Without ``membership`` the initial host list is
-    the membership, and in-round re-probe still applies to retired
-    hosts.
+    start draining the shared shard queue immediately on every slot,
+    retired slots are re-probed every ``reprobe_interval`` seconds while
+    the round is still in progress, and hosts the membership dropped
+    (quarantined) stop being probed.  Without ``membership`` the initial
+    host list is the membership, and in-round re-probe still applies to
+    retired slots.
     """
 
     name = "remote-sockets"
@@ -214,12 +227,13 @@ class RemoteTransport:
         self.connect_timeout = float(connect_timeout)
         self.shards_per_host = max(1, int(shards_per_host))
         self.reprobe_interval = float(reprobe_interval)
-        self._clients: dict[tuple[str, int], "ServeClient"] = {}
+        self._clients: dict[tuple[tuple[str, int], int], "ServeClient"] = {}
         self._clients_lock = threading.Lock()
         #: Shards re-queued after an ``Overloaded`` answer (all rounds).
         self.overload_retries = 0
-        #: Pumps started mid-round for a host that was not reachable (or
-        #: not a member) when the round began — joins and re-admissions.
+        #: Hosts (not connections) that joined mid-round: not reachable or
+        #: not a member when the round began, or back after losing every
+        #: connection.
         self.readmissions = 0
 
     @property
@@ -242,18 +256,18 @@ class RemoteTransport:
 
     # -- connection management ------------------------------------------------
 
-    def _connect(self, endpoint: tuple[str, int], timeout: float | None):
+    def _connect(self, key: tuple[tuple[str, int], int], timeout: float | None):
         with self._clients_lock:
-            client = self._clients.get(endpoint)
+            client = self._clients.get(key)
         if client is not None:
             try:
                 client.set_timeout(timeout)
                 return client
             except OSError:
-                self._drop(endpoint)
+                self._drop(key)
         from ..serve.client import ServeClient
 
-        host, port = endpoint
+        host, port = key[0]
         try:
             client = ServeClient(
                 host, port, timeout=timeout, connect_timeout=self.connect_timeout
@@ -261,12 +275,12 @@ class RemoteTransport:
         except OSError:
             return None
         with self._clients_lock:
-            self._clients[endpoint] = client
+            self._clients[key] = client
         return client
 
-    def _drop(self, endpoint: tuple[str, int]) -> None:
+    def _drop(self, key: tuple[tuple[str, int], int]) -> None:
         with self._clients_lock:
-            client = self._clients.pop(endpoint, None)
+            client = self._clients.pop(key, None)
         if client is not None:
             try:
                 client.close()
@@ -285,6 +299,14 @@ class RemoteTransport:
 
     # -- shard execution ------------------------------------------------------
 
+    def _slots(self) -> list[tuple[tuple[str, int], int]]:
+        """Every ``(endpoint, slot)`` connection the membership asks for."""
+        return [
+            (endpoint, slot)
+            for endpoint in dict.fromkeys(self.hosts)
+            for slot in range(CONNECTIONS_PER_HOST)
+        ]
+
     def run_shards(self, shards, payload, timeout=None, return_exceptions=True):
         shards = list(shards)
         results: list[Any] = [_UNSET] * len(shards)
@@ -292,20 +314,28 @@ class RemoteTransport:
         lock = threading.Lock()
         #: Shards already granted their one in-round overload retry.
         overload_retried: set[int] = set()
-        #: Endpoints with a live pump (under ``lock``).
-        pumping: set[tuple[str, int]] = set()
-        n_active = [0]
-        #: Last probe time per endpoint — bounds how hard the monitor
-        #: hammers a dead host (one connect per reprobe_interval).
-        last_probe: dict[tuple[str, int], float] = {}
+        #: ``(endpoint, slot)`` pairs with a live pump (under ``lock``).
+        pumping: set[tuple[tuple[str, int], int]] = set()
+        #: Connected slots per joined endpoint (under ``lock``).  A host
+        #: joins with its first connection and leaves when its last one
+        #: is lost — a slot that finds the queue empty does not make it
+        #: leave.  Joining again mid-round is one re-admission, however
+        #: many of its slots reconnect.
+        serving: dict[tuple[str, int], set[int]] = {}
+        #: Last probe time per slot — bounds how hard the monitor
+        #: hammers a dead host (one connect per slot per reprobe_interval).
+        last_probe: dict[tuple[tuple[str, int], int], float] = {}
 
-        def pump(endpoint: tuple[str, int], rejoin: bool = False) -> None:
+        def pump(key: tuple[tuple[str, int], int], rejoin: bool = False) -> None:
+            endpoint, slot = key
             try:
-                client = self._connect(endpoint, timeout)
+                client = self._connect(key, timeout)
                 if client is None:
                     return  # unreachable host consumes no shards this round
-                if rejoin:
-                    self.readmissions += 1
+                with lock:
+                    if rejoin and endpoint not in serving:
+                        self.readmissions += 1
+                    serving.setdefault(endpoint, set()).add(slot)
                 while True:
                     with lock:
                         if not queue:
@@ -322,50 +352,54 @@ class RemoteTransport:
                                 continue
                             overload_retried.add(i)
                             queue.append(i)  # back of the queue: retry later
-                        self.overload_retries += 1
+                            self.overload_retries += 1
                         time.sleep(min(0.05, self.reprobe_interval))
                     except WorkerConnectionLost as exc:
                         results[i] = exc
-                        self._drop(endpoint)
-                        return  # host retired; monitor may re-admit it later
+                        self._drop(key)
+                        with lock:
+                            # only this slot retires; the host leaves
+                            # with its last connection
+                            serving[endpoint].discard(slot)
+                            if not serving[endpoint]:
+                                del serving[endpoint]
+                        return  # the monitor may re-admit the slot later
                     except Exception as exc:
                         results[i] = exc  # structured worker error: host stays
             finally:
                 with lock:
-                    pumping.discard(endpoint)
-                    n_active[0] -= 1
+                    pumping.discard(key)
+                    serving.get(endpoint, set()).discard(slot)
 
-        def start_pump(endpoint: tuple[str, int], rejoin: bool = False) -> threading.Thread:
+        def start_pump(key, rejoin: bool = False) -> threading.Thread:
             with lock:
-                pumping.add(endpoint)
-                n_active[0] += 1
-            last_probe[endpoint] = time.monotonic()
-            t = threading.Thread(target=pump, args=(endpoint, rejoin), daemon=True)
+                pumping.add(key)
+            last_probe[key] = time.monotonic()
+            t = threading.Thread(target=pump, args=(key, rejoin), daemon=True)
             t.start()
             return t
 
-        threads = [start_pump(endpoint) for endpoint in dict.fromkeys(self.hosts)]
+        threads = [start_pump(key) for key in self._slots()]
 
         # Elastic monitor: while at least one pump is draining the queue,
-        # watch membership for joins and re-probe retired hosts.  With no
+        # watch membership for joins and re-probe retired slots.  With no
         # pump left alive the round is decided (the queue's remainder
         # fails fast below) — a fully dead fleet must not hang here.
         while True:
             with lock:
                 work_left = bool(queue) or any(r is _UNSET for r in results)
-                anyone = n_active[0] > 0
-                if not work_left or not anyone:
+                if not work_left or not pumping:
                     break
                 now = time.monotonic()
                 missing = [
-                    ep
-                    for ep in dict.fromkeys(self.hosts)
-                    if ep not in pumping
-                    and now - last_probe.get(ep, float("-inf")) >= self.reprobe_interval
+                    key
+                    for key in self._slots()
+                    if key not in pumping
+                    and now - last_probe.get(key, float("-inf")) >= self.reprobe_interval
                     and queue
                 ]
-            for endpoint in missing:
-                threads.append(start_pump(endpoint, rejoin=True))
+            for key in missing:
+                threads.append(start_pump(key, rejoin=True))
             time.sleep(min(0.02, self.reprobe_interval))
 
         for t in threads:

@@ -57,6 +57,10 @@ class ServeClient:
         #: timed-out request's connection (the late-reply resync below)
         #: impossible.
         self._rbuf = bytearray()
+        #: How much of ``_rbuf`` is known to hold no newline, so each
+        #: received byte is searched once, however many chunks a long
+        #: line arrives in.
+        self._scanned = 0
         self._next_id = 0
         #: Request ids sent but never answered (a timed-out request's
         #: reply is still in flight) — how :meth:`request` recognises a
@@ -66,8 +70,8 @@ class ServeClient:
     def set_timeout(self, timeout: float | None) -> None:
         """Adjust the per-request socket timeout on the live connection.
 
-        The fabric reuses one connection per worker host across rounds
-        whose :class:`~repro.engine.resilience.RetryPolicy` shard
+        The fabric reuses its connections to each worker host across
+        rounds whose :class:`~repro.engine.resilience.RetryPolicy` shard
         timeouts may differ.
         """
         self._sock.settimeout(timeout)
@@ -125,21 +129,25 @@ class ServeClient:
         handed to the JSON decoder).
         """
         while True:
-            newline = self._rbuf.find(b"\n")
+            newline = self._rbuf.find(b"\n", self._scanned)
             if newline >= MAX_LINE_BYTES or (newline < 0 and len(self._rbuf) > MAX_LINE_BYTES):
                 raise ConnectionError(
                     f"server response exceeds {MAX_LINE_BYTES} bytes; "
                     f"dropping connection"
                 )
             if newline >= 0:
-                line = bytes(self._rbuf[: newline + 1])
+                with memoryview(self._rbuf) as view:
+                    line = bytes(view[: newline + 1])
                 del self._rbuf[: newline + 1]
+                self._scanned = 0
                 return line
+            self._scanned = len(self._rbuf)
             chunk = self._sock.recv(65536)
             if not chunk:
                 if self._rbuf:
                     partial = len(self._rbuf)
                     self._rbuf.clear()
+                    self._scanned = 0
                     raise ConnectionError(
                         f"server closed the connection mid-reply "
                         f"({partial} bytes of an unterminated line)"

@@ -12,6 +12,7 @@ degradation, and checkpoint resume across transports.
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -29,6 +30,7 @@ from repro.engine import (
     RetryPolicy,
     WorkPlan,
     WorkerConnectionLost,
+    WorkerOverloaded,
     faults,
 )
 from repro.engine.fabric import RemoteBackend, _check_remote_capability
@@ -306,6 +308,36 @@ class TestRemoteTransportUnits:
         assert result.backend == "remote"
         np.testing.assert_allclose(result.throughput, baseline.throughput, atol=ATOL)
 
+    def test_pump_counters_survive_contention(self):
+        """Sixteen pumps shed and retry 64 shards: no count is lost."""
+        import sys
+
+        class Shedding(RemoteTransport):
+            def _connect(self, key, timeout):
+                return key
+
+            def _solve_remote(self, client, bounds, payload):
+                with seen_lock:
+                    first = bounds[0] not in seen
+                    seen.add(bounds[0])
+                if first:
+                    raise WorkerOverloaded(f"shard {bounds[0]}")
+                return bounds[0]
+
+        seen: set = set()
+        seen_lock = threading.Lock()
+        hosts = [("127.0.0.1", port) for port in range(1, 9)]
+        t = Shedding(hosts, reprobe_interval=0.001)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outs = t.run_shards([(k, k, k + 1) for k in range(64)], None, timeout=5.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert outs == list(range(64))
+        assert t.overload_retries == 64
+        assert t.readmissions == 0
+
 
 # -- against real workers ------------------------------------------------------
 
@@ -537,6 +569,259 @@ class TestElasticAndOverload:
         np.testing.assert_allclose(
             box["result"].throughput, baseline.throughput, atol=ATOL
         )
+
+
+# -- two shards in flight per host ----------------------------------------------
+
+
+class _HeldShards:
+    """Records every shard the transport sends, and to which worker port.
+
+    Shards bound for a port that ``hold(port)`` selects wait at the
+    transport, before they are encoded, until :attr:`release` is set —
+    how a test pins which connections hold which shards without
+    ordering anything by ``sleep``.
+    """
+
+    def __init__(self, monkeypatch, hold=lambda port: True):
+        self.sent: list[tuple[int, int]] = []
+        self.release = threading.Event()
+        self._cond = threading.Condition()
+        original = RemoteTransport._solve_remote
+        gate = self
+
+        def held(transport, client, bounds, payload):
+            with gate._cond:
+                gate.sent.append((client.port, bounds[0]))
+                gate._cond.notify_all()
+            if hold(client.port):
+                assert gate.release.wait(60.0), "shards never released"
+            return original(transport, client, bounds, payload)
+
+        monkeypatch.setattr(RemoteTransport, "_solve_remote", held)
+
+    def wait_for(self, port: int, count: int) -> list[int]:
+        """Block until ``count`` shards went to ``port``; return them."""
+
+        def shards():
+            return [shard for p, shard in self.sent if p == port]
+
+        with self._cond:
+            assert self._cond.wait_for(lambda: len(shards()) >= count, 60.0), self.sent
+            return shards()
+
+
+class _RoundLog:
+    """Every ``run_shards`` round's outputs, and the dispatcher's local re-solves."""
+
+    def __init__(self, monkeypatch):
+        from repro.engine import fabric
+
+        self.rounds: list[list] = []
+        self.local_fallbacks = 0
+        run_shards = RemoteTransport.run_shards
+        get_backend = fabric.get_backend
+        log = self
+
+        def logged(transport, *args, **kwargs):
+            outs = run_shards(transport, *args, **kwargs)
+            log.rounds.append(list(outs))
+            return outs
+
+        def counted(*args, **kwargs):
+            log.local_fallbacks += 1
+            return get_backend(*args, **kwargs)
+
+        monkeypatch.setattr(RemoteTransport, "run_shards", logged)
+        monkeypatch.setattr(fabric, "get_backend", counted)
+
+
+@pytest.fixture
+def gated_worker():
+    """An in-process worker whose ``solve_shard`` ops wait for ``release``.
+
+    Yields ``(port, release)``.  The server is the one ``repro worker``
+    runs, with its default admission control: one solve at a time and a
+    queue of 16.
+    """
+    import asyncio
+
+    from repro.serve.server import SolverServer
+    from repro.solvers import SolverCache
+
+    server = SolverServer(port=0, cache=SolverCache())
+    release = threading.Event()
+    execute = server._execute
+
+    def gated(op, request):
+        if op == "solve_shard":
+            release.wait(30.0)
+        return execute(op, request)
+
+    server._execute = gated
+    loop = asyncio.new_event_loop()
+    loop.run_until_complete(server.start())
+    thread = threading.Thread(
+        target=loop.run_until_complete, args=(server.serve_until_shutdown(),)
+    )
+    thread.start()
+    try:
+        yield server.port, release
+    finally:
+        release.set()
+        loop.call_soon_threadsafe(server.request_shutdown)
+        thread.join(timeout=30.0)
+        loop.close()
+
+
+class TestTwoShardsInFlightPerHost:
+    """Each host gets two connections (``CONNECTIONS_PER_HOST``), one pump each.
+
+    Pinned choices: a lost connection retires only its own slot, so the
+    host's other connection keeps draining the queue in the same round;
+    ``readmissions`` counts hosts that (re)join mid-round, not
+    connections.
+    """
+
+    def test_one_worker_sweep_overlaps(self, gated_worker, stack, baseline):
+        """The worker admits a second shard while it solves the first."""
+        port, release = gated_worker
+        box: dict = {}
+
+        def run():
+            box["result"] = solve_stack(
+                stack, method="exact-mva", cache=None, hosts=f"127.0.0.1:{port}"
+            )
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            with ServeClient(port=port, timeout=30.0) as client:
+                # the first shard's solve is held; with one connection per
+                # host the second would never be sent before it finished
+                while client.health()["admitted"] < 2:
+                    assert thread.is_alive() and time.monotonic() < deadline, box
+                    time.sleep(0.01)
+                assert client.health()["admitted"] == 2
+        finally:
+            release.set()
+            thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        for attr in ("throughput", "response_time", "queue_lengths", "utilizations"):
+            assert np.array_equal(getattr(box["result"], attr), getattr(baseline, attr))
+
+    def test_lost_connection_retires_only_its_slot(self, worker_fleet, stack):
+        (_, port), _ = worker_fleet[0]
+        t = RemoteTransport([("127.0.0.1", port)])
+        payload = ("exact-mva", "batched", list(stack), {})
+        shards = [(k, 2 * k, 2 * k + 2) for k in range(4)]
+        try:
+            with faults.injected(FaultPlan.parse("drop-connection@shard=0")):
+                outs = t.run_shards(shards, payload, timeout=30.0)
+        finally:
+            t.close()
+        assert isinstance(outs[0], WorkerConnectionLost)
+        # the host's other connection solved the rest in the same round,
+        # and the host never left it
+        assert not any(isinstance(o, BaseException) for o in outs[1:]), outs
+        assert t.readmissions == 0
+
+    def test_drop_connection_sweep_finishes_on_the_fleet(
+        self, monkeypatch, worker_fleet, stack, baseline
+    ):
+        (_, port), _ = worker_fleet[0]
+        log = _RoundLog(monkeypatch)
+        with faults.injected(FaultPlan.parse("drop-connection@shard=0")):
+            result = solve_stack(
+                stack, method="exact-mva", cache=None, hosts=f"127.0.0.1:{port}"
+            )
+        assert ("drop-connection", "transport") in {
+            (kind, point) for kind, point, *_ in faults.fired()
+        }
+        # one shard lost in the first round, solved remotely in the second
+        assert [sum(isinstance(o, WorkerConnectionLost) for o in r) for r in log.rounds] == [1, 0]
+        assert log.local_fallbacks == 0
+        for attr in ("throughput", "response_time", "queue_lengths", "utilizations"):
+            assert np.array_equal(getattr(result, attr), getattr(baseline, attr)), attr
+
+    def test_killed_worker_fails_both_in_flight_shards(
+        self, monkeypatch, worker_fleet, stack, baseline
+    ):
+        """SIGKILL a worker holding two shards: both fail, both are retried."""
+        workers, hosts = worker_fleet
+        (victim, port1), (_, port2) = workers
+        # port2's shards wait until both of port1's connections hold one
+        gate = _HeldShards(monkeypatch, hold=lambda port: port == port2)
+        log = _RoundLog(monkeypatch)
+        box: dict = {}
+        os.kill(victim.pid, signal.SIGSTOP)  # accepts, never answers
+        try:
+            thread = threading.Thread(
+                target=lambda: box.update(
+                    result=solve_stack(stack, method="exact-mva", cache=None, hosts=hosts)
+                )
+            )
+            thread.start()
+            in_flight = gate.wait_for(port1, 2)
+        finally:
+            victim.kill()
+            victim.wait()
+            gate.release.set()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        first, *retries = log.rounds
+        lost = [k for k, o in enumerate(first) if isinstance(o, WorkerConnectionLost)]
+        assert sorted(lost) == sorted(in_flight)
+        assert len(lost) == 2
+        # retried on the survivor, never solved in the driver
+        assert retries and all(
+            not isinstance(o, BaseException) for o in retries[0]
+        ), retries
+        assert len(retries[0]) == 2
+        assert log.local_fallbacks == 0
+        for attr in ("throughput", "response_time", "queue_lengths", "utilizations"):
+            assert np.array_equal(getattr(box["result"], attr), getattr(baseline, attr))
+
+    @pytest.mark.parametrize("spec", ["reject-admission@shard=0", "reject-admission"])
+    def test_reject_admission_is_one_overload_retry(
+        self, worker_fleet, stack, baseline, spec
+    ):
+        (_, port), _ = worker_fleet[0]
+        backend = RemoteBackend(hosts=[("127.0.0.1", port)])
+        with faults.injected(FaultPlan.parse(spec)):
+            result = backend.run(get_solver("exact-mva"), stack, {})
+        # one armed fault, one shed, however many connections raced for it
+        assert backend.transport.overload_retries == 1
+        assert backend.transport.readmissions == 0
+        for attr in ("throughput", "response_time", "queue_lengths", "utilizations"):
+            assert np.array_equal(getattr(result, attr), getattr(baseline, attr))
+
+    def test_mid_sweep_join_gets_every_slot(self, monkeypatch, worker_fleet, stack):
+        """A joining host pumps on both connections and counts one readmission."""
+        workers, _ = worker_fleet
+        (_, port1), (_, port2) = workers
+        gate = _HeldShards(monkeypatch)  # every shard waits for the release
+        membership = StaticMembership([("127.0.0.1", port1)])
+        t = RemoteTransport(membership=membership, reprobe_interval=0.05)
+        payload = ("exact-mva", "batched", list(stack), {})
+        shards = [(k, k, k + 1) for k in range(8)]
+        box: dict = {}
+        thread = threading.Thread(
+            target=lambda: box.update(outs=t.run_shards(shards, payload, timeout=30.0))
+        )
+        thread.start()
+        try:
+            gate.wait_for(port1, 2)  # the first host's two slots are busy
+            membership.add("127.0.0.1", port2)
+            gate.wait_for(port2, 2)  # ... and the joiner's two slots took work
+        finally:
+            gate.release.set()
+            thread.join(timeout=60.0)
+        t.close()
+        assert not thread.is_alive()
+        assert not any(isinstance(o, BaseException) for o in box["outs"]), box
+        assert t.readmissions == 1
 
 
 # -- CLI surface ---------------------------------------------------------------

@@ -115,6 +115,35 @@ class TestHarness:
         with faults.injected(FaultPlan.parse("crash-worker@shard=0")):
             faults.maybe_inject("shard", shard=0)
 
+    def test_one_shot_fires_once_under_contention(self):
+        # a remote host's pumps race for a one-shot fault on their own
+        # threads; however they interleave, exactly one may take it
+        import sys
+        import threading
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                with faults.injected(FaultPlan.parse("reject-admission")):
+                    start = threading.Barrier(16)
+                    taken = []
+
+                    def race():
+                        start.wait(timeout=10.0)
+                        taken.append(faults.take_one_shot("admission", shard=0))
+
+                    threads = [threading.Thread(target=race) for _ in range(16)]
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=10.0)
+                    assert not any(t.is_alive() for t in threads)
+                    assert sum(f is not None for f in taken) == 1, taken
+                    assert len(faults.fired()) == 1
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestRecoveryParity:
     """Each injected fault recovers with ≤1e-10 deviation from fault-free."""

@@ -8,6 +8,7 @@ a restarted server is warm because the sqlite tier survives it.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import signal
@@ -612,6 +613,125 @@ class TestClientCorrelation:
                     client.request({"op": "ping"})
         finally:
             srv.close()
+
+
+# -- the bounded line reader (scripted socket, no network) ---------------------
+
+
+class _ChunkedSocket:
+    """A socket whose ``recv`` hands out scripted chunks, one per call.
+
+    A chunk that is an exception instance is raised instead (a socket
+    timeout); an exhausted script reads as EOF.  Before every ``recv``
+    it records how much of the client's buffer was already searched, so
+    a test can check that no received byte is searched twice.
+    """
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+        self.client = None
+        self.unsearched = []
+
+    def recv(self, size):
+        if self.client is not None:
+            scanned = getattr(self.client, "_scanned", 0)
+            self.unsearched.append(len(self.client._rbuf) - scanned)
+        if not self.chunks:
+            return b""
+        chunk = self.chunks.pop(0)
+        if isinstance(chunk, BaseException):
+            raise chunk
+        return chunk
+
+    def settimeout(self, timeout):
+        pass
+
+    def makefile(self, mode):
+        return io.BytesIO()
+
+    def close(self):
+        pass
+
+
+@pytest.fixture
+def chunked_client(monkeypatch):
+    """``ServeClient`` over a :class:`_ChunkedSocket` scripted with ``chunks``."""
+
+    def make(chunks):
+        sock = _ChunkedSocket(chunks)
+        monkeypatch.setattr(socket, "create_connection", lambda *a, **kw: sock)
+        client = ServeClient(port=1, timeout=5.0)
+        sock.client = client
+        return client, sock
+
+    return make
+
+
+class TestLineReader:
+    def test_line_split_over_many_chunks(self, chunked_client):
+        line = json.dumps({"ok": True, "id": 1, "result": {"x": "y" * 5000}}).encode()
+        chunks = [line[i : i + 97] for i in range(0, len(line), 97)] + [b"\n"]
+        client, sock = chunked_client(chunks)
+        assert client.request({"op": "ping"})["result"]["x"] == "y" * 5000
+        assert len(sock.unsearched) == len(chunks)
+        # every byte buffered before a recv was already searched once
+        assert sock.unsearched == [0] * len(chunks)
+
+    def test_several_lines_in_one_chunk(self, chunked_client):
+        client, sock = chunked_client([b'{"a": 1}\n{"b": 2}\n{"c"', b": 3}\n"])
+        assert client._readline_bounded() == b'{"a": 1}\n'
+        assert client._readline_bounded() == b'{"b": 2}\n'
+        assert len(sock.unsearched) == 1  # both came out of the first chunk
+        assert client._readline_bounded() == b'{"c": 3}\n'
+        assert client._readline_bounded() == b""  # EOF between lines
+        assert client._rbuf == bytearray() and client._scanned == 0
+
+    def test_newline_as_first_byte_of_a_chunk(self, chunked_client):
+        client, _ = chunked_client([b'{"a": 1}', b'\n{"b":', b" 2}", b"\n"])
+        assert client._readline_bounded() == b'{"a": 1}\n'
+        assert client._readline_bounded() == b'{"b": 2}\n'
+
+    def test_partial_line_survives_a_timeout(self, chunked_client):
+        chunks = [b'{"ok": true, "id": 1, ', socket.timeout("timed out"), b'"result": {}}\n']
+        client, _ = chunked_client(chunks)
+        with pytest.raises(OSError):
+            client.request({"op": "ping"})
+        assert bytes(client._rbuf) == b'{"ok": true, "id": 1, '
+        assert client._readline_bounded() == b'{"ok": true, "id": 1, "result": {}}\n'
+
+    @pytest.mark.parametrize("size, refused", [(1023, False), (1024, True), (1025, True)])
+    def test_over_limit_line_refused_at_the_same_length(
+        self, chunked_client, monkeypatch, size, refused
+    ):
+        # ``size`` bytes before the newline, delivered in small chunks: a
+        # newline at index MAX_LINE_BYTES or later is refused, as before
+        import repro.serve.client as client_mod
+
+        monkeypatch.setattr(client_mod, "MAX_LINE_BYTES", 1024)
+        line = b"x" * size + b"\n"
+        client, _ = chunked_client([line[i : i + 100] for i in range(0, len(line), 100)])
+        if refused:
+            with pytest.raises(ConnectionError, match="exceeds 1024 bytes"):
+                client._readline_bounded()
+        else:
+            assert client._readline_bounded() == line
+
+    def test_unterminated_over_limit_refused_before_eof(self, chunked_client, monkeypatch):
+        import repro.serve.client as client_mod
+
+        monkeypatch.setattr(client_mod, "MAX_LINE_BYTES", 1024)
+        # 1025 bytes without a newline: refused as soon as they are
+        # buffered, not read on to EOF ("mid-reply")
+        client, sock = chunked_client([b"x" * 1000, b"x" * 25, b"x" * 10])
+        with pytest.raises(ConnectionError, match="exceeds 1024 bytes"):
+            client._readline_bounded()
+        assert sock.chunks == [b"x" * 10]
+
+    def test_eof_mid_line_clears_the_buffer(self, chunked_client):
+        client, _ = chunked_client([b'{"ok": tr', b"ue"])
+        with pytest.raises(ConnectionError, match="mid-reply .11 bytes"):
+            client._readline_bounded()
+        assert client._rbuf == bytearray() and client._scanned == 0
 
 
 # -- admission control and graceful drain --------------------------------------
