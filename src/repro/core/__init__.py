@@ -26,7 +26,7 @@ from .linearizer import linearizer_amva, linearizer_multiserver_mva
 from .mom import method_of_moments, mom_state_count
 from .multiclass import MultiClassResult, exact_multiclass_mva
 from .multiclass_amva import MultiClassTrajectory, bard_schweitzer, multiclass_mvasd
-from .multiserver import MultiServerState, exact_multiserver_mva
+from .multiserver import exact_multiserver_mva
 from .mva import exact_mva
 from .mvasd import mvasd
 from .network import ClosedNetwork, Station
@@ -39,7 +39,6 @@ __all__ = [
     "MVAResult",
     "MultiClassResult",
     "MultiClassTrajectory",
-    "MultiServerState",
     "OpenResult",
     "PredictionBand",
     "Station",

@@ -33,10 +33,10 @@ amplified through the ``(XD/j)`` chain — at ``C_k = 16`` the recursion
 tracks the exact solution to 1e-13 until ~70 % utilization and then
 blows up.  This is a known property of exact multi-server MVA.  The
 solver therefore carries the **full** marginal vector ``p_k(j | n)``
-for ``j = 0..n``, renormalized every level (:class:`MultiServerState`;
-``method="recursion"`` and population-axis MVASD run the same steps in
-the batched recursion of :mod:`repro.engine.batched` at ``S = 1``), for
-which one can show
+for ``j = 0..n``, renormalized every level: ``method="recursion"`` and
+both axes of MVASD run it in the batched recursions of
+:mod:`repro.engine.batched` at ``S = 1`` (``_BatchedMultiServerState``
+and its compiled twin ``_mvasd.c``), for which one can show
 
     ``(D/C) * (1 + Q + F)  ==  D * sum_{j>=1} (j / min(j, C)) p(j-1 | n-1)``
 
@@ -44,9 +44,10 @@ i.e. eq. 10 evaluated with exact marginals equals the load-dependent
 residence form — stable because residence is dominated by the large
 marginals instead of the tiny cancelled ones.  The truncated
 paper-literal update (:func:`multiserver_step` /
-:func:`update_marginals`) is kept for small server counts and the
-Fig. 3 bench; the test suite validates both against
-:mod:`repro.core.ld_mva` in their stable regimes.
+:func:`update_marginals`) is kept as Algorithm 2's transcription for
+small server counts (the Fig. 3 bench runs ``method="recursion"``); the
+test suite validates both against :mod:`repro.core.ld_mva` in their
+stable regimes.
 
 The per-visit ``S_k`` of the paper combines with ``V_k`` into the
 demand ``D_k`` here, exactly as in the total ``sum_k V_k R_k``.  For
@@ -74,97 +75,10 @@ from .network import ClosedNetwork
 from .results import MVAResult
 
 __all__ = [
-    "MultiServerState",
     "exact_multiserver_mva",
     "multiserver_step",
     "update_marginals",
 ]
-
-
-class MultiServerState:
-    """Stable exact residence-time state for one multi-server station.
-
-    Carries the full marginal queue-size vector ``p(j | n)`` for
-    ``j = 0..n`` and evaluates eq. 10 through the equivalent
-    load-dependent form (see module docstring).  Demands may differ at
-    every population level, which is what MVASD needs.
-    """
-
-    __slots__ = ("servers", "max_population", "_p", "_weights", "_level")
-
-    def __init__(self, servers: int, max_population: int) -> None:
-        if servers < 1:
-            raise ValueError(f"servers must be >= 1, got {servers}")
-        if max_population < 1:
-            raise ValueError(f"max_population must be >= 1, got {max_population}")
-        self.servers = int(servers)
-        self.max_population = int(max_population)
-        self._p = np.zeros(max_population + 1)
-        self._p[0] = 1.0  # empty network
-        js = np.arange(1, max_population + 1, dtype=float)
-        #: j / min(j, C): the per-job residence weight of the LD form.
-        self._weights = js / np.minimum(js, self.servers)
-        self._level = 0
-
-    def residence(self, n: int, demand: float) -> float:
-        """``R_k`` at population ``n`` given this level's demand.
-
-        Must be called with ``n`` equal to one past the last updated
-        level (the recursion is strictly sequential).
-        """
-        if n != self._level + 1:
-            raise ValueError(
-                f"out-of-order recursion: expected n={self._level + 1}, got {n}"
-            )
-        return demand * float((self._weights[:n] * self._p[:n]).sum())
-
-    def update(self, n: int, x: float, demand: float) -> None:
-        """Advance the marginals to population ``n`` after ``X^n`` is known.
-
-        The closing ``p(0) = 1 - sum(tail)`` is a cancellation whose
-        rounding error the recursion amplifies exponentially once the
-        station runs past ~75 % utilization (the classical MVA-LD
-        instability).  Renormalizing the whole vector each level keeps
-        the recursion bounded and self-correcting; the residual bias is
-        confined to the saturation transition and is small (<~2 % on a
-        16-core bottleneck), which the test suite pins down against the
-        exact convolution solver.
-        """
-        if n != self._level + 1:
-            raise ValueError(
-                f"out-of-order recursion: expected n={self._level + 1}, got {n}"
-            )
-        mu_scale = x * demand  # X / mu(j) = X * D / min(j, C), applied below
-        js = np.arange(1, n + 1, dtype=float)
-        new_tail = (mu_scale / np.minimum(js, self.servers)) * self._p[:n]
-        self._p[1 : n + 1] = new_tail
-        self._p[0] = max(0.0, 1.0 - float(new_tail.sum()))
-        total = float(self._p[: n + 1].sum())
-        if total > 0:
-            self._p[: n + 1] /= total
-        self._level = n
-
-    def queue_length(self) -> float:
-        """Mean jobs ``Q_k`` at the last updated level (from the marginals)."""
-        n = self._level
-        js = np.arange(0, n + 1, dtype=float)
-        return float((js * self._p[: n + 1]).sum())
-
-    def marginals(self, upto: int | None = None) -> np.ndarray:
-        """``p(0..upto-1)`` at the last updated level (default: C values)."""
-        count = self.servers if upto is None else int(upto)
-        out = np.zeros(count)
-        take = min(count, self._p.shape[0])
-        out[:take] = self._p[:take]
-        return out
-
-    def correction_factor(self) -> float:
-        """The paper's ``F_k`` evaluated from the exact marginals."""
-        c = self.servers
-        if c == 1:
-            return 0.0
-        j = np.arange(0, c - 1, dtype=float)
-        return float(((c - 1 - j) * self._p[: c - 1]).sum())
 
 
 def multiserver_step(

@@ -11,10 +11,11 @@ multi-server residence-time equation (eq. 11):
     ``R_k = (SS_k^n / C_k) * (1 + Q_k + F_k)``
 
 with the same marginal-probability machinery as Algorithm 2 (but driven
-by ``SS_k^n``).  On the population axis the demand matrix is known up
-front, so the recursion is the batched one of :mod:`repro.engine.batched`
-run at ``S = 1`` (compiled kernel or NumPy, the same bits).  Two
-additional variants reproduce the paper's baselines and extensions:
+by ``SS_k^n``).  Both demand axes run the batched recursions of
+:mod:`repro.engine.batched` at ``S = 1``: on the population axis the
+demand matrix is known up front, so the recursion is the compiled
+kernel (or its NumPy twin, the same bits).  Two additional variants
+reproduce the paper's baselines and extensions:
 
 * ``single_server=True`` — the "MVASD: Single Server" baseline of
   Fig. 8: multi-server queues are *normalized* to single-server ones by
@@ -25,8 +26,9 @@ additional variants reproduce the paper's baselines and extensions:
   interpolated against *throughput* instead of concurrency.  Since
   ``X^n`` is not known before the level is solved, each level runs a
   small damped fixed-point iteration ``X -> demands(X) -> X`` seeded
-  with the previous level's throughput — a Python loop over
-  :class:`~repro.core.multiserver.MultiServerState`.
+  with the previous level's throughput, in the same NumPy recursion
+  over the same marginal state (``repro.engine.batched._mvasd_levels``
+  with per-scenario demand curves).
 
 Demand functions may come from the network's own callable demands, from
 an explicit mapping, or from fitted
@@ -40,7 +42,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .multiserver import MultiServerState
 from .mva import _scalar_result, validate_resume
 from .network import ClosedNetwork
 from .results import MVAResult
@@ -48,12 +49,6 @@ from .results import MVAResult
 __all__ = ["mvasd", "precompute_demand_matrix"]
 
 DemandFn = Callable[[float], float]
-
-#: Damped fixed-point controls for ``demand_axis="throughput"``.
-_FP_MAX_ITER = 50
-_FP_TOL = 1e-10
-_FP_DAMPING = 0.5
-
 
 def _resolve_demand_functions(
     network: ClosedNetwork,
@@ -67,15 +62,6 @@ def _resolve_demand_functions(
     from ..solvers.validation import resolve_demand_functions
 
     return resolve_demand_functions(network, demand_functions, solver="mvasd")
-
-
-def _demands_at(fns: Sequence[DemandFn], level: float) -> np.ndarray:
-    d = np.array([float(f(level)) for f in fns])
-    if not np.isfinite(d).all():
-        raise ValueError(f"mvasd: non-finite interpolated demand at level {level}: {d}")
-    if np.any(d < 0):
-        raise ValueError(f"negative interpolated demand at level {level}: {d}")
-    return d
 
 
 def precompute_demand_matrix(
@@ -192,100 +178,20 @@ def mvasd(
             "(the throughput axis is not level-separable)"
         )
 
-    k = len(network)
-    z = network.think_time
-    stations = network.stations
-    servers = network.servers()
+    from ..engine.batched import _mvasd_levels
 
-    q = np.zeros(k)
-    states = (
-        None
-        if single_server
-        else [
-            MultiServerState(st.servers, max_population) if st.kind == "queue" else None
-            for st in stations
-        ]
+    used = np.empty((1, max_population, len(network)))
+    *levels, history, _ = _mvasd_levels(
+        None, network, used, np.full(1, network.think_time, dtype=float), single_server,
+        history=True, fns=[fns],
     )
-
-    pops = np.arange(1, max_population + 1)
-    xs = np.empty(max_population)
-    rs = np.empty(max_population)
-    qs = np.empty((max_population, k))
-    rks = np.empty((max_population, k))
-    utils = np.empty((max_population, k))
-    used = np.empty((max_population, k))
-    prob_hist = (
-        {}
-        if single_server
-        else {
-            st.name: np.empty((max_population, st.servers))
-            for st in stations
-            if st.kind == "queue" and st.servers > 1
-        }
-    )
-
-    x_prev = 0.0
-    for i in range(max_population):
-        n = i + 1
-        # Fixed point in throughput: seed with the previous level's X (or
-        # the zero-contention estimate for the first customer).  The
-        # residence form is linear in the demand vector, so the iteration
-        # only re-scales r_k — the station state is advanced exactly once
-        # per level, after convergence.
-        if x_prev <= 0:
-            d0 = _demands_at(fns, 0.0)
-            x_prev = 1.0 / (float(d0.sum()) + z) if (d0.sum() + z) > 0 else 1.0
-        x = x_prev
-        d = _demands_at(fns, x)
-        r_k = np.empty(k)
-        for idx, st in enumerate(stations):
-            if st.kind == "delay":
-                r_k[idx] = d[idx]
-            elif single_server:
-                r_k[idx] = (d[idx] / st.servers) * (1.0 + q[idx])
-            else:
-                r_k[idx] = states[idx].residence(n, d[idx])
-        r_total = float(r_k.sum())
-        base = np.divide(r_k, d, out=np.zeros(k), where=d > 0)
-        for _ in range(_FP_MAX_ITER):
-            x_new = n / (r_total + z)
-            if abs(x_new - x) <= _FP_TOL * max(1.0, x):
-                x = x_new
-                break
-            x = _FP_DAMPING * x + (1.0 - _FP_DAMPING) * x_new
-            d = _demands_at(fns, x)
-            r_k = base * d
-            r_total = float(r_k.sum())
-        else:
-            x = n / (r_total + z)
-
-        q = x * r_k
-        if not single_server:
-            for idx, st in enumerate(stations):
-                if st.kind == "queue":
-                    states[idx].update(n, x, d[idx])
-                if st.name in prob_hist:
-                    prob_hist[st.name][i] = states[idx].marginals()
-        x_prev = x
-        xs[i] = x
-        rs[i] = r_total
-        qs[i] = q
-        rks[i] = r_k
-        utils[i] = x * d / servers
-        used[i] = d
-
-    return MVAResult(
-        populations=pops,
-        throughput=xs,
-        response_time=rs,
-        queue_lengths=qs,
-        residence_times=rks,
-        utilizations=utils,
-        station_names=network.station_names,
-        think_time=z,
+    return _scalar_result(
+        network,
+        levels,
+        None,
         solver=solver + "-throughput",
-        marginal_probabilities=prob_hist or None,
-        demands_used=used,
+        marginal_probabilities={name: hist[0] for name, hist in history.items()} or None,
+        demands_used=used[0],
     )
 
 

@@ -51,6 +51,7 @@ from .batched import (
     BatchedMultiClassTrajectory,
     BatchedMVAResult,
     ScenarioFailure,
+    _batched_mvasd_throughput,
     batched_exact_multiclass,
     batched_exact_mva,
     batched_ld_mva,
@@ -188,18 +189,30 @@ def solve_each(spec, scenarios, options, isolate: bool = False, retries: int = 0
     )
 
 
-def _kernel_input(spec: "SolverSpec", scenario: "Scenario") -> np.ndarray:
+def _demand_axis(options: Mapping[str, Any]) -> str:
+    """MVASD's ``demand_axis`` option, refused as the scalar solver refuses it."""
+    axis = options.get("demand_axis", "population")
+    if axis not in ("population", "throughput"):
+        raise ValueError(f"demand_axis must be 'population' or 'throughput', got {axis!r}")
+    return axis
+
+
+def _kernel_input(spec: "SolverSpec", scenario: "Scenario", options: Mapping[str, Any]):
     """The per-scenario input row the method's batched kernel consumes.
 
     Extracting rows one scenario at a time (rather than inside the
     kernel) is what lets the ``errors="isolate"`` path probe each
     scenario independently and substitute a placeholder for poisoned
-    rows before the single vectorized call.
+    rows before the single vectorized call.  Every row is an array
+    except on MVASD's throughput axis, whose fixed point evaluates the
+    scenario's demand curves at throughputs it finds on the way.
     """
     kernel = spec.batched_kernel
     if kernel in ("exact-mva", "schweitzer-amva"):
         return scenario.fixed_demands(spec.name)
     if kernel == "mvasd":
+        if _demand_axis(options) == "throughput":
+            return scenario.demand_fns(spec.name)
         return scenario.resolved_demand_matrix(spec.name)
     if kernel == "ld-mva":
         # Packed (K, N+1) row: demand column + the mu_k(j) rate matrix.
@@ -276,6 +289,12 @@ def _run_kernel(spec, scenarios, rows, options, mask=None):
     network = first.resolved_network()
     n = first.max_population
     think = np.array([sc.think for sc in scenarios])
+    single_server = bool(options.get("single_server", False))
+    if kernel == "mvasd" and _demand_axis(options) == "throughput":
+        # The rows are demand curves, evaluated inside the fixed point.
+        return _batched_mvasd_throughput(
+            network, n, rows, single_server, think_times=think, mask=mask
+        )
     stack = np.stack(rows)
     if kernel == "exact-mva":
         return batched_exact_mva(network, n, stack, think_times=think, mask=mask)
@@ -288,7 +307,7 @@ def _run_kernel(spec, scenarios, rows, options, mask=None):
         network,
         n,
         stack,
-        single_server=bool(options.get("single_server", False)),
+        single_server=single_server,
         think_times=think,
         mask=mask,
     )
@@ -307,7 +326,7 @@ class BatchedBackend:
             offset = _scenario_offset()
             for i in range(len(scenarios)):
                 faults.maybe_inject("kernel", scenario=offset + i)
-        rows = [_kernel_input(spec, sc) for sc in scenarios]
+        rows = [_kernel_input(spec, sc, options) for sc in scenarios]
         result = _run_kernel(spec, scenarios, rows, options)
         return replace(result, backend=self.name)
 

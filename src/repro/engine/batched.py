@@ -24,7 +24,8 @@ stack and calls it.  The scalar solvers are the same functions run at
 ``S = 1``: :func:`repro.core.mva.exact_mva` (:func:`_exact_mva_levels`),
 :func:`repro.core.amva.schweitzer_amva` (:func:`_schweitzer_levels`),
 :func:`repro.core.ld_mva.exact_load_dependent_mva` (:func:`_ld_mva_levels`),
-population-axis :func:`repro.core.mvasd.mvasd` (:func:`_mvasd_levels`),
+:func:`repro.core.mvasd.mvasd` (:func:`_mvasd_levels`, on either demand
+axis),
 :func:`repro.core.multiclass.exact_multiclass_mva`
 (:func:`_exact_multiclass_lattice`) and
 :func:`repro.core.multiclass_amva.multiclass_mvasd` /
@@ -75,6 +76,11 @@ __all__ = [
 _MAX_ITER = 10_000
 _MC_MAX_ITER = 50_000
 _TOL = 1e-10
+# Damped fixed-point controls of throughput-axis MVASD: a level iterates
+# until X moves by at most _FP_TOL * max(1, X).
+_FP_MAX_ITER = 50
+_FP_TOL = 1e-10
+_FP_DAMPING = 0.5
 
 
 def _mask_stack(mask, s: int, solver: str) -> np.ndarray | None:
@@ -788,12 +794,14 @@ def _schweitzer_levels(network, d, z, n_levels, start=0, init_q=None):
 
 
 class _BatchedMultiServerState:
-    """S parallel copies of :class:`repro.core.multiserver.MultiServerState`.
+    """The exact residence-time state of one multi-server station, S scenarios wide.
 
-    Carries the full marginal vectors ``p(j | n)`` of one multi-server
-    station for all S scenarios as a ``(S, N+1)`` array and applies the
-    scalar class's residence/update/renormalize steps elementwise along
-    the scenario axis, from ``p(0..L | L)`` ``p0`` ``(S, L+1)``.
+    Carries the full marginal vectors ``p(j | n)`` for ``j = 0..n`` of
+    all S scenarios as a ``(S, N+1)`` array, from ``p(0..L | L)`` ``p0``
+    ``(S, L+1)``, and evaluates eq. 10 through the equivalent
+    load-dependent form (see :mod:`repro.core.multiserver`), elementwise
+    along the scenario axis.  Demands may differ at every level, which
+    is what MVASD needs.  ``_mvasd.c`` is its compiled twin.
     """
 
     __slots__ = ("servers", "_p", "_weights")
@@ -811,7 +819,13 @@ class _BatchedMultiServerState:
         return demand * (self._weights[:n] * self._p[:, :n]).sum(axis=1)
 
     def update(self, n: int, x: np.ndarray, demand: np.ndarray) -> None:
-        """Advance all scenarios' marginals once ``X^n`` ``(S,)`` is known."""
+        """Advance all scenarios' marginals once ``X^n`` ``(S,)`` is known.
+
+        The closing ``p(0) = 1 - sum(tail)`` is a cancellation whose
+        rounding error the recursion amplifies once the station runs past
+        ~75 % utilization (the classical MVA-LD instability); the clamp
+        and the renormalization of the whole vector keep it bounded.
+        """
         mu_scale = x * demand
         js = np.arange(1, n + 1, dtype=float)
         new_tail = (mu_scale[:, None] / np.minimum(js, self.servers)) * self._p[:, :n]
@@ -851,10 +865,11 @@ def batched_mvasd(
 
     Notes
     -----
-    Only ``demand_axis="population"`` is batchable (the demand matrix is
-    known before the recursion); for the Section-7 throughput-axis fixed
-    point use the scalar :func:`~repro.core.mvasd.mvasd` per scenario.
-    Marginal-probability histories are not recorded in batched mode.
+    This is the population axis, whose demand matrix is known before the
+    recursion.  ``solve_stack(method="mvasd", demand_axis="throughput")``
+    runs the Section-7 fixed point over the stack instead
+    (:func:`_batched_mvasd_throughput`).  Marginal-probability histories
+    are not recorded in batched mode.
 
     The population recursion runs in the compiled kernel of
     :mod:`repro.engine.native` when it can be built, and in NumPy
@@ -924,9 +939,9 @@ def _batched_mvasd(
 
 def _mvasd_levels(
     kernel, network, matrices, z, single_server, start=0, init_p=None, init_q=None,
-    history=False, final=False,
+    history=False, final=False, fns=None,
 ):
-    """The MVASD population recursion over levels ``start+1..N`` of S scenarios.
+    """The MVASD recursion over levels ``start+1..N`` of S scenarios.
 
     Runs in the compiled ``kernel``, or in NumPy when it is ``None``: the
     same bits.  Starts from marginals ``init_p`` ``(S, K, start+1)`` and
@@ -937,6 +952,11 @@ def _mvasd_levels(
     station with ``C_k > 1`` to its ``p(0..C_k-1 | n)`` ``(S, N, C_k)``
     and ``final`` for one of each queueing station to its ``p(0..N | N)``
     ``(S, N+1)``; otherwise they come back as ``{}`` and ``None``.
+
+    On the throughput axis ``fns`` holds one per-station curve sequence
+    per scenario: each level's demands come from its fixed point
+    (:func:`_throughput_fixed_point`) and are written into ``matrices``,
+    and the recursion runs in NumPy.
     """
     s, n_levels, k = matrices.shape
     stations = network.stations
@@ -955,8 +975,8 @@ def _mvasd_levels(
     hist = np.empty((s, n_levels, k, c_max)) if c_max else None
     final_p = np.empty((s, k, n_levels + 1)) if keep and final else None
     args = (network, matrices, z, single_server, start, init_p, init_q)
-    if kernel is None:
-        _mvasd_levels_numpy(*args, levels, hist, final_p)
+    if kernel is None or fns is not None:
+        _mvasd_levels_numpy(*args, levels, hist, final_p, fns)
     else:
         _mvasd_levels_native(kernel, *args, levels, hist, final_p)
     history = {
@@ -1003,14 +1023,16 @@ def _mvasd_levels_native(
 
 
 def _mvasd_levels_numpy(
-    network, matrices, z, single_server, start, init_p, init_q, levels, hist, final_p
+    network, matrices, z, single_server, start, init_p, init_q, levels, hist, final_p,
+    fns=None,
 ):
-    """The MVASD population recursion over all scenarios, level by level.
+    """The MVASD recursion over all scenarios, level by level.
 
     Fills ``levels`` — throughput and response time ``(S, N)``, queue
     lengths, residence times and utilizations ``(S, N, K)`` — from row
     ``start`` on, and ``hist`` and ``final_p`` when they are not
-    ``None``.
+    ``None``.  With ``fns`` (the throughput axis) the demands of each
+    level are found by its fixed point and stored into ``matrices``.
     """
     s, n_levels, k = matrices.shape
     stations = network.stations
@@ -1029,10 +1051,13 @@ def _mvasd_levels_numpy(
     )
 
     q = init_q
+    x = np.zeros(s)
     r_k = np.empty((s, k))
     for i in range(start, n_levels):
         n = i + 1
         d = matrices[:, i, :]
+        if fns is not None:
+            _throughput_seed(fns, x, z, d)
         for idx, st in enumerate(stations):
             col = d[:, idx]
             if st.kind == "delay":
@@ -1041,8 +1066,11 @@ def _mvasd_levels_numpy(
                 r_k[:, idx] = (col / st.servers) * (1.0 + q[:, idx])
             else:
                 r_k[:, idx] = states[idx].residence(n, col)
+        if fns is not None:
+            _throughput_fixed_point(n, fns, x, z, d, r_k)
         r_total = r_k.sum(axis=1)
-        x = n / (r_total + z)
+        if fns is None:
+            x = n / (r_total + z)
         q = x[:, None] * r_k
         if not single_server:
             for idx, st in enumerate(stations):
@@ -1059,6 +1087,88 @@ def _mvasd_levels_numpy(
         for idx, st in enumerate(stations):
             if st.kind == "queue":
                 final_p[:, idx] = states[idx]._p[:, : n_levels + 1]
+
+
+def _batched_mvasd_throughput(
+    network: ClosedNetwork,
+    max_population: int,
+    demand_functions: Sequence[Sequence[DemandFn]],
+    single_server: bool = False,
+    think_times=None,
+    mask=None,
+) -> BatchedMVAResult:
+    """MVASD on the throughput axis (Section 7, Fig. 11) over a stack of scenarios.
+
+    ``demand_functions`` holds one per-station curve sequence
+    ``X -> seconds`` per scenario.  The curves of rows where ``mask`` is
+    ``False`` are never called, and those rows come back NaN (the
+    :func:`batched_exact_mva` isolate contract); any other row equals its
+    scenario's scalar ``mvasd(demand_axis="throughput")`` bit for bit.
+    """
+    if max_population < 1:
+        raise ValueError(f"max_population must be >= 1, got {max_population}")
+    s, k = len(demand_functions), len(network)
+    mask = _mask_stack(mask, s, "batched-mvasd")
+    if mask is not None:
+        # Masked-out rows may carry broken curves; solve placeholders instead.
+        flat = [lambda _x: 1.0] * k
+        demand_functions = [fns if ok else flat for fns, ok in zip(demand_functions, mask)]
+    z = _think_stack(network, think_times, s, mask=mask)
+    used = np.empty((s, max_population, k))
+    *levels, _, _ = _mvasd_levels(None, network, used, z, single_server, fns=demand_functions)
+    solver = "batched-mvasd-single-server" if single_server else "batched-mvasd"
+    return _stack_result(network, levels, z, used, solver + "-throughput", mask)
+
+
+def _demand_row(fns: Sequence[DemandFn], level: float) -> np.ndarray:
+    """One scenario's demands ``(K,)`` at throughput ``level``, validated."""
+    d = np.array([float(f(level)) for f in fns])
+    if not np.isfinite(d).all():
+        raise ValueError(f"mvasd: non-finite interpolated demand at level {level}: {d}")
+    if np.any(d < 0):
+        raise ValueError(f"negative interpolated demand at level {level}: {d}")
+    return d
+
+
+def _throughput_seed(fns, x, z, d) -> None:
+    """Each row's demands ``d`` at the previous level's throughput ``x``.
+
+    A row with no throughput yet (the first customer) starts from the
+    zero-contention estimate ``1 / (sum_k D_k(0) + Z)``.
+    """
+    for row in range(len(fns)):
+        if x[row] <= 0:
+            total = _demand_row(fns[row], 0.0).sum() + z[row]
+            x[row] = 1.0 / total if total > 0 else 1.0
+        d[row] = _demand_row(fns[row], float(x[row]))
+
+
+def _throughput_fixed_point(n, fns, x, z, d, r_k) -> None:
+    """Level ``n``'s damped fixed point ``X -> demands(X) -> X``, row by row.
+
+    ``r_k`` holds the residences at the seeded demands ``d``.  The
+    residence form is linear in the demand vector, so the iteration
+    only rescales ``r_k``; the marginal state advances once, after
+    convergence.  Each row iterates on its own, in Python floats, so it
+    sees exactly the iterates of its ``S = 1`` solve.  Updates ``x``,
+    ``d`` and ``r_k`` in place.
+    """
+    base = np.divide(r_k, d, out=np.zeros(d.shape), where=d > 0)
+    for row in range(len(fns)):
+        xr, zr, dr, rr = float(x[row]), float(z[row]), d[row], r_k[row]
+        r_total = float(rr.sum())
+        for _ in range(_FP_MAX_ITER):
+            x_new = n / (r_total + zr)
+            if abs(x_new - xr) <= _FP_TOL * max(1.0, xr):
+                xr = x_new
+                break
+            xr = _FP_DAMPING * xr + (1.0 - _FP_DAMPING) * x_new
+            dr = _demand_row(fns[row], xr)
+            rr = base[row] * dr
+            r_total = float(rr.sum())
+        else:
+            xr = n / (r_total + zr)
+        x[row], d[row], r_k[row] = xr, dr, rr
 
 
 @dataclass(frozen=True)

@@ -184,9 +184,11 @@ def solve_isolated_batched(
     for i, sc in enumerate(scenarios):
         try:
             faults.maybe_inject("kernel", scenario=offset + i)
-            row = np.asarray(_kernel_input(spec, sc), dtype=float)
-            if not np.isfinite(row).all():
-                raise ValueError("non-finite demands")
+            row = _kernel_input(spec, sc, options)
+            if isinstance(row, np.ndarray):
+                row = np.asarray(row, dtype=float)
+                if not np.isfinite(row).all():
+                    raise ValueError("non-finite demands")
             rows.append(row)
         except Exception as exc:
             mask[i] = False
@@ -230,14 +232,15 @@ class SweepCheckpoint:
     ) -> str | None:
         """Content hash identifying one shard's solve request.
 
-        ``None`` when the options cannot be canonicalized (callables) —
-        such shards are solved but not journaled, exactly mirroring the
+        ``None`` when :func:`~repro.solvers.cache.canonical_options`
+        cannot key the options (callables, the throughput axis) — such
+        shards are solved but not journaled, exactly mirroring the
         result cache's uncacheable rule.
         """
         from ..solvers.cache import canonical_options
 
         opts = canonical_options(options)
-        if opts is None or options.get("demand_axis") == "throughput":
+        if opts is None:
             return None
         h = hashlib.sha256()
         h.update(_CHECKPOINT_VERSION.encode("ascii"))

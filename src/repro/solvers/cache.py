@@ -110,10 +110,16 @@ def canonical_options(options: Mapping[str, object]) -> tuple | None:
 
     Returns ``None`` when any value cannot be canonicalized (callables,
     arbitrary objects) — the caller must then treat the request as
-    uncacheable rather than risk a false hit.  Floats are canonicalized
-    the same way fingerprints are (``-0.0`` folds onto ``+0.0``), arrays
-    hash by shape + canonical bytes, mappings by sorted key.
+    uncacheable rather than risk a false hit.  So does
+    ``demand_axis="throughput"``: it evaluates demand curves off the
+    integer population grid that fingerprints sample, so equal
+    fingerprints do not guarantee equal results there.  Floats are
+    canonicalized the same way fingerprints are (``-0.0`` folds onto
+    ``+0.0``), arrays hash by shape + canonical bytes, mappings by
+    sorted key.
     """
+    if options.get("demand_axis") == "throughput":
+        return None
     try:
         return tuple(
             (str(k), _canonical_value(v)) for k, v in sorted(options.items())

@@ -219,14 +219,7 @@ def _nearest_batched_method(spec: SolverSpec) -> str | None:
 
 
 def _cache_key(kind, fingerprints, spec, backend, options):
-    """Cache key for a request, or ``None`` when it is uncacheable.
-
-    ``demand_axis="throughput"`` evaluates demand curves off the integer
-    population grid that fingerprints sample, so equal fingerprints do
-    not guarantee equal results there — never cache it.
-    """
-    if options.get("demand_axis") == "throughput":
-        return None
+    """Cache key for a request, or ``None`` when it is uncacheable."""
     opts = canonical_options(options)
     if opts is None:
         return None

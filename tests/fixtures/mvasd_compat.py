@@ -2,20 +2,26 @@
 
 ``build_results`` solves one small varying-demand network (a 4-core web
 tier, a 2-core app tier, a 1-core database and a think-time delay) with
-every population-axis multi-server recursion a stored result can come
-from.  Run as a script from the repository root, this module pickles
-what the code it imports makes of them, exactly as the sqlite cache tier
-stores a solver result:
+every multi-server MVASD recursion a stored result can come from: the
+population axis and the Section-7 throughput axis.  Run as a script
+from the repository root, this module pickles what the code it imports
+makes of them, exactly as the sqlite cache tier stores a solver result:
 
     PYTHONPATH=src:. python tests/fixtures/mvasd_compat.py
 
 * ``mvasd_compat.pkl`` — a dict of :class:`~repro.core.results.MVAResult`
   by key: ``mvasd`` at L=60 and N=120 (each with its ``final_state``),
-  the ``single_server=True`` baseline at L=60 and N=120, and
-  ``exact_multiserver_mva(method="recursion")`` at N=120.
+  the ``single_server=True`` baseline at L=60 and N=120,
+  ``exact_multiserver_mva(method="recursion")`` at N=120, and
+  ``mvasd(demand_axis="throughput")`` at N=120 with and without
+  ``single_server`` (the demand curves vary over the throughputs the
+  fixed point visits, from ~1 to ~59 per second).
 
-The committed file was written by commit cc9a844, the last one whose
-scalar ``mvasd`` ran its own Python population loop;
+The population-axis entries were first written by commit cc9a844, the
+last one whose scalar ``mvasd`` ran its own Python population loop.  The
+committed file was rewritten, with the throughput-axis entries added, by
+commit 78a2cf5, the last one whose throughput axis stepped the scalar
+``MultiServerState`` loop; its population-axis entries are unchanged.
 ``tests/test_mvasd_compat.py`` holds today's code to it.
 """
 
@@ -57,6 +63,10 @@ def build_results() -> dict:
         "single-server-L": mvasd(net, L, single_server=True),
         "single-server-N": mvasd(net, N, single_server=True),
         "recursion-N": exact_multiserver_mva(net, N, method="recursion"),
+        "throughput-N": mvasd(net, N, demand_axis="throughput"),
+        "throughput-single-server-N": mvasd(
+            net, N, single_server=True, demand_axis="throughput"
+        ),
     }
 
 

@@ -318,18 +318,28 @@ def _persistent_poison(scenario: int) -> FaultPlan:
 @given(case=local_stacks(), data=st.data())
 def test_local_paths_agree(case, data):
     method, stack = case
-    serial = solve_stack(stack, method=method, backend="serial", cache=None)
-    batched = solve_stack(stack, method=method, backend="batched", cache=None)
+    # MVASD runs on either demand axis; the throughput axis is its own
+    # fixed-point loop, which every path must run alike.
+    options = (
+        {"demand_axis": data.draw(st.sampled_from(["population", "throughput"]), label="axis")}
+        if method == "mvasd"
+        else {}
+    )
+    serial = solve_stack(stack, method=method, backend="serial", cache=None, **options)
+    batched = solve_stack(stack, method=method, backend="batched", cache=None, **options)
     _assert_rows_equal(batched, serial, slice(None))
     for backend in ("process-sharded", "resilient"):
-        fanned = solve_stack(stack, method=method, backend=backend, workers=2, cache=None)
+        fanned = solve_stack(
+            stack, method=method, backend=backend, workers=2, cache=None, **options
+        )
         assert fanned.backend == backend
         assert_same_stack(replace(fanned, backend="batched"), batched)
 
     # A crashed worker's shard is solved again in the driver.
     with faults.injected(FaultPlan.parse("crash-worker@shard=0")):
         crashed = solve_stack(
-            stack, method=method, backend="process-sharded", workers=2, cache=None
+            stack, method=method, backend="process-sharded", workers=2, cache=None,
+            **options,
         )
     assert_same_stack(replace(crashed, backend="batched"), batched)
 
@@ -339,12 +349,22 @@ def test_local_paths_agree(case, data):
     with faults.injected(_persistent_poison(k)):
         isolated = solve_stack(
             stack, method=method, backend="process-sharded", workers=2,
-            cache=None, errors="isolate",
+            cache=None, errors="isolate", **options,
         )
     assert [f.index for f in isolated.failures] == [k]
     assert np.isnan(isolated.throughput[k]).all()
     healthy = [i for i in range(len(stack)) if i != k]
     _assert_rows_equal(isolated, serial, healthy)
+
+
+@pytest.mark.parametrize("backend", ["serial", "batched", "process-sharded", "resilient"])
+def test_unknown_demand_axis_raises_on_every_local_path(backend, varying_net):
+    stack = [Scenario(varying_net, 8, think_time=z) for z in (0.5, 1.0, 1.5, 2.0)]
+    with pytest.raises(ValueError, match="demand_axis must be"):
+        solve_stack(
+            stack, method="mvasd", backend=backend, workers=2, cache=None,
+            demand_axis="users",
+        )
 
 
 @pytest.mark.parametrize("backend", ["serial", "batched", "process-sharded", "resilient"])

@@ -10,12 +10,9 @@ from repro.core import (
     exact_multiserver_mva,
     exact_mva,
 )
-from repro.core.multiserver import (
-    MultiServerState,
-    multiserver_step,
-    update_marginals,
-)
+from repro.core.multiserver import multiserver_step, update_marginals
 from repro.core.mvasd import mvasd
+from repro.engine.batched import _BatchedMultiServerState
 
 
 class TestConvolutionBackend:
@@ -119,44 +116,28 @@ class TestRecursionBackend:
 
 
 class TestMultiServerState:
-    def test_rejects_out_of_order_use(self):
-        st = MultiServerState(4, 10)
-        with pytest.raises(ValueError, match="out-of-order"):
-            st.residence(2, 0.4)  # level 1 not yet updated
-        st.residence(1, 0.4)
-        with pytest.raises(ValueError, match="out-of-order"):
-            st.update(2, 1.0, 0.4)
+    """The batched marginal state both MVASD axes and the recursion run on."""
 
     def test_first_residence_is_demand(self):
-        st = MultiServerState(8, 10)
-        assert st.residence(1, 0.8) == pytest.approx(0.8)
+        st = _BatchedMultiServerState(8, 10, np.ones((1, 1)))
+        assert st.residence(1, np.array([0.8]))[0] == pytest.approx(0.8)
 
     def test_queue_length_from_marginals(self):
-        st = MultiServerState(2, 10)
-        st.residence(1, 0.5)
-        st.update(1, 1.0, 0.5)
-        # After one customer at X=1, D=0.5: p(1)=0.5, p(0)=0.5 -> Q=0.5
-        assert st.queue_length() == pytest.approx(0.5)
-
-    def test_correction_factor_limits(self):
-        st = MultiServerState(4, 10)
-        # Empty system: F = C-1.
-        assert st.correction_factor() == pytest.approx(3.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MultiServerState(0, 10)
-        with pytest.raises(ValueError):
-            MultiServerState(4, 0)
+        # One customer at X=1, D=0.5: p(0)=p(1)=0.5 -> Q=0.5
+        net = ClosedNetwork([Station("cpu", 0.5, servers=2)], think_time=0.5)
+        for axis in ("population", "throughput"):
+            r = mvasd(net, 1, demand_axis=axis)
+            assert r.throughput[0] == pytest.approx(1.0)
+            np.testing.assert_allclose(r.marginal_probabilities["cpu"][0], [0.5, 0.5])
+            assert r.queue_lengths[0, 0] == pytest.approx(0.5)
 
     def test_marginals_pad_when_servers_exceed_population(self):
-        # p(j) = 0 for j > N; marginals() must still return C entries.
-        st = MultiServerState(3, 1)
-        st.residence(1, 0.25)
-        st.update(1, 4.0, 0.25)
-        probs = st.marginals()
-        assert probs.shape == (3,)
-        np.testing.assert_allclose(probs, [0.0, 1.0, 0.0])
+        # p(j) = 0 for j > N; the history must still hold C entries.
+        net = ClosedNetwork([Station("pool", 0.25, servers=3)], think_time=0.0)
+        for axis in ("population", "throughput"):
+            probs = mvasd(net, 1, demand_axis=axis).marginal_probabilities["pool"]
+            assert probs.shape == (1, 3)
+            np.testing.assert_allclose(probs[0], [0.0, 1.0, 0.0])
 
     def test_mvasd_with_servers_exceeding_population(self):
         net = ClosedNetwork([Station("pool", 0.0, servers=3)], think_time=0.0)

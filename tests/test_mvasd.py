@@ -14,14 +14,22 @@ from repro.core import (
 )
 from repro.core.mvasd import precompute_demand_matrix
 from repro.engine import native
-from repro.engine.batched import _batched_mvasd_numpy, _mvasd_levels
+from repro.engine.batched import _batched_mvasd_numpy, _batched_mvasd_throughput, _mvasd_levels
 from repro.interpolate import ServiceDemandModel
+from repro.solvers import Scenario, solve_stack
 from tests.fixtures.mvasd_compat import assert_same_result
 
 TRAJECTORIES = ("throughput", "response_time", "queue_lengths", "residence_times", "utilizations")
 
 
 class TestMVASDBasics:
+    def test_rejects_bad_population_and_axis(self, multiserver_net):
+        for axis in ("population", "throughput"):
+            with pytest.raises(ValueError, match="max_population must be >= 1"):
+                mvasd(multiserver_net, 0, demand_axis=axis)
+        with pytest.raises(ValueError, match="demand_axis must be"):
+            mvasd(multiserver_net, 5, demand_axis="users")
+
     def test_constant_demands_reduce_to_algorithm2(self, multiserver_net):
         r3 = mvasd(multiserver_net, 150)
         r2 = exact_multiserver_mva(multiserver_net, 150, method="recursion")
@@ -124,6 +132,69 @@ class TestThroughputAxis:
         fns = {"cpu": lambda x: 0.4, "disk": lambda x: 0.05}
         r = mvasd(multiserver_net, 5, demand_functions=fns, demand_axis="throughput")
         assert r.solver == "mvasd-throughput"
+
+    @pytest.mark.parametrize("bad, message", [
+        (float("nan"), "mvasd: non-finite interpolated demand at level"),
+        (-0.01, "negative interpolated demand at level"),
+    ])
+    def test_bad_demand_refused(self, multiserver_net, bad, message):
+        # Valid until the fixed point first reaches X > 2.
+        fns = {"cpu": lambda x: 0.4 if x <= 2.0 else bad, "disk": lambda x: 0.05}
+        with pytest.raises(ValueError, match=message):
+            mvasd(multiserver_net, 40, demand_functions=fns, demand_axis="throughput")
+
+    @staticmethod
+    def _stack():
+        """Scenarios whose CPU curves differ, so their fixed points do too."""
+        nets = [
+            ClosedNetwork(
+                [
+                    Station("cpu", lambda x, a=a: 0.25 + a * np.exp(-x / 5.0), servers=4),
+                    Station("lan", 0.01, kind="delay"),
+                    Station("disk", 0.05),
+                ],
+                think_time=1.0,
+            )
+            for a in (0.05, 0.15, 0.3)
+        ]
+        return [Scenario(net, 60, think_time=z) for net, z in zip(nets, (0.5, 1.0, 2.0))]
+
+    @pytest.mark.parametrize("single_server", [False, True])
+    @pytest.mark.parametrize("backend", ["serial", "batched", "process-sharded", "resilient"])
+    def test_stack_rows_are_the_scalar_solves(self, backend, single_server):
+        stack = self._stack()
+        got = solve_stack(
+            stack, method="mvasd", backend=backend, workers=2, cache=None,
+            demand_axis="throughput", single_server=single_server,
+        )
+        label = "mvasd-single-server-throughput" if single_server else "mvasd-throughput"
+        assert got.solver == ("stacked-" if backend == "serial" else "batched-") + label
+        for i, sc in enumerate(stack):
+            want = mvasd(
+                sc.resolved_network(), sc.max_population, single_server=single_server,
+                demand_axis="throughput",
+            )
+            for field in (*TRAJECTORIES, "demands_used"):
+                assert np.array_equal(getattr(got, field)[i], getattr(want, field)), field
+
+    def test_masked_rows_are_never_evaluated(self):
+        def poisoned(x):
+            raise AssertionError("a masked row was evaluated")
+
+        stack = self._stack()
+        net = stack[0].resolved_network()
+        fns = [sc.demand_fns() for sc in stack]
+        think = [sc.think for sc in stack]
+        full = _batched_mvasd_throughput(net, 60, fns, think_times=think)
+        fns[1] = [poisoned] * 3
+        masked = _batched_mvasd_throughput(
+            net, 60, fns, think_times=think, mask=[True, False, True]
+        )
+        assert masked.solver == "batched-mvasd-throughput"
+        for field in (*TRAJECTORIES, "demands_used"):
+            arr = getattr(masked, field)
+            assert np.isnan(arr[1]).all(), field
+            assert np.array_equal(arr[[0, 2]], getattr(full, field)[[0, 2]]), field
 
 
 class TestMultiServerDelay:

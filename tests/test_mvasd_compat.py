@@ -1,15 +1,18 @@
-"""MVASD results stored before the population recursion moved onto the
-batched kernel still match today's solves, and still resume.
+"""MVASD results stored before the population recursion and the
+throughput-axis fixed point moved onto the batched recursion still match
+today's solves, and the population-axis ones still resume.
 
 The fixture (``tests/fixtures/mvasd_compat.pkl``) was written by commit
-cc9a844 — see ``tests/fixtures/mvasd_compat.py``, which also rebuilds
-the results it holds.  A failure here means a result in an existing
-sqlite cache would no longer equal a fresh solve, or would no longer
-extend to a deeper population bit for bit.
+78a2cf5, its population-axis entries first by commit cc9a844 — see
+``tests/fixtures/mvasd_compat.py``, which also rebuilds the results it
+holds.  A failure here means a result in an existing sqlite cache would
+no longer equal a fresh solve, or would no longer extend to a deeper
+population bit for bit.
 """
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core import mvasd
@@ -37,6 +40,11 @@ def test_fixture_holds_every_stored_shape():
     assert sorted(STORED) == sorted(build_results())
     assert STORED["mvasd-N"].final_state["level"] == N
     assert sorted(STORED["recursion-N"].marginal_probabilities) == ["app", "web"]
+    thr = STORED["throughput-N"]
+    assert (thr.solver, thr.final_state) == ("mvasd-throughput", None)
+    assert sorted(thr.marginal_probabilities) == ["app", "web"]
+    # The curves vary over the throughputs the fixed point visits.
+    assert len(np.unique(thr.demands_used[:, 0])) == N
 
 
 @pytest.mark.parametrize("key", sorted(STORED))
