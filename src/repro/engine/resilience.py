@@ -239,7 +239,7 @@ class SweepCheckpoint:
         """
         from ..solvers.cache import canonical_options
 
-        opts = canonical_options(options)
+        opts = canonical_options(options, method)
         if opts is None:
             return None
         h = hashlib.sha256()

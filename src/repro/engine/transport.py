@@ -21,6 +21,8 @@ interchangeable underneath the same retry/checkpoint machinery.
     to a fleet of ``repro worker`` processes: :data:`CONNECTIONS_PER_HOST`
     persistent sockets per host, each with its own pump thread, all
     draining one shared shard queue, so a host has two shards in flight.
+    Replies come back framed: the trajectory arrays follow the JSON
+    envelope as raw bytes (:mod:`repro.serve.protocol`).
     Scenario sub-stacks ship fingerprint-verified — a worker refuses a
     shard whose decoded scenarios do not hash to the fingerprints the
     driver computed, so codec drift degrades to a local re-solve
@@ -443,12 +445,16 @@ class RemoteTransport:
             "scenarios": [encode_scenario(sc) for sc in sub],
             "fingerprints": [sc.fingerprint() for sc in sub],
             "options": dict(options),
+            # reply arrays as raw bytes after the envelope line; a worker
+            # that predates frames ignores this and answers in base64
+            "frames": 1,
         }
         try:
             envelope = client.request(request)
         except (OSError, EOFError, ValueError) as exc:
-            # socket timeouts and resets are OSErrors; a torn response
-            # stream surfaces as a JSON decode error (ValueError).
+            # socket timeouts, resets and a reply (or its frame) cut
+            # short are OSErrors; a torn response stream surfaces as a
+            # JSON decode error (ValueError).
             raise WorkerConnectionLost(
                 f"worker {client.host}:{client.port} lost mid-shard: {exc}"
             ) from exc
@@ -460,4 +466,5 @@ class RemoteTransport:
                     f"{error.get('error', 'overloaded')}"
                 )
             raise ServeError(envelope)
-        return decode_stack_result(envelope["result"])
+        frame = getattr(envelope, "frame", None)  # None: an inline (base64) reply
+        return decode_stack_result(envelope["result"], frame=frame)

@@ -3,7 +3,10 @@
 Used by ``repro query``, the PERF-04 bench and the CI smoke job.  The
 client is deliberately dependency-free (one socket, one file object):
 anything that can write a line of JSON can talk to the server, and this
-module is the reference for what those lines look like.
+module is the reference for what those lines look like.  A reply whose
+envelope announces a binary frame (``"frame": nbytes``, see
+:mod:`repro.serve.protocol`) comes back as a
+:class:`~repro.serve.protocol.Framed` envelope carrying those bytes.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import json
 import socket
 from typing import Any, Mapping
 
-from .protocol import MAX_LINE_BYTES
+from .protocol import MAX_LINE_BYTES, Framed
 
 __all__ = ["ServeClient", "query"]
 
@@ -66,6 +69,9 @@ class ServeClient:
         #: reply is still in flight) — how :meth:`request` recognises a
         #: late reply and discards it instead of mis-delivering it.
         self._outstanding: set = set()
+        #: Bytes of a frame whose read timed out, still to be skipped
+        #: before the next envelope line.
+        self._skip = 0
 
     def set_timeout(self, timeout: float | None) -> None:
         """Adjust the per-request socket timeout on the live connection.
@@ -89,7 +95,10 @@ class ServeClient:
         means the peer is not speaking our protocol — that kills the
         connection.  Reads are bounded by the server's own
         ``MAX_LINE_BYTES`` so a misbehaving peer cannot make the client
-        buffer an unbounded line.
+        buffer an unbounded line (or frame).  A reply that announces a
+        frame has it read, discarded replies included, so the stream
+        stays in sync; the matching one is returned as a
+        :class:`~repro.serve.protocol.Framed` envelope.
         """
         body = dict(payload)
         if "id" not in body:
@@ -99,21 +108,24 @@ class ServeClient:
         self._outstanding.add(request_id)
         self._file.write(json.dumps(body).encode() + b"\n")
         self._file.flush()
+        self._skip_frame_rest()
         while True:
             line = self._readline_bounded()
             if not line:
                 raise ConnectionError("server closed the connection")
             envelope = json.loads(line)
             response_id = envelope.get("id") if isinstance(envelope, dict) else None
-            if response_id == request_id:
-                self._outstanding.discard(request_id)
-                return envelope
-            if response_id in self._outstanding:
-                # A late reply to a request we gave up on — drop it and
-                # keep reading; the stream is back in sync once the
-                # current request's reply arrives.
+            if response_id == request_id or response_id in self._outstanding:
+                # Either the answer, or a late reply to a request we gave
+                # up on — which is dropped, frame and all; the stream is
+                # back in sync once the current request's reply arrives.
                 self._outstanding.discard(response_id)
-                continue
+                frame = self._read_frame(
+                    envelope.get("frame") if isinstance(envelope, dict) else None
+                )
+                if response_id != request_id:
+                    continue
+                return envelope if frame is None else Framed(envelope, frame=frame)
             raise ConnectionError(
                 f"response id {response_id!r} matches no outstanding request "
                 f"(expected {request_id!r}); desynchronized stream"
@@ -154,6 +166,55 @@ class ServeClient:
                     )
                 return b""
             self._rbuf.extend(chunk)
+
+    def _read_frame(self, nbytes) -> bytearray | None:
+        """The ``nbytes`` frame after an envelope line (``None``: no frame).
+
+        Read straight into a buffer of the announced size, after the
+        bytes the line reader already holds.  A frame over
+        ``MAX_LINE_BYTES`` is refused before anything is allocated; EOF
+        inside it raises :class:`ConnectionError`.  A socket timeout
+        leaves the rest to be skipped before the next line.
+        """
+        if nbytes is None:
+            return None
+        if isinstance(nbytes, bool) or not isinstance(nbytes, int) or nbytes < 0:
+            raise ConnectionError(f"malformed frame length {nbytes!r}; dropping connection")
+        if nbytes > MAX_LINE_BYTES:
+            raise ConnectionError(
+                f"server frame of {nbytes} bytes exceeds {MAX_LINE_BYTES} bytes; "
+                f"dropping connection"
+            )
+        frame = bytearray(nbytes)
+        got = min(nbytes, len(self._rbuf))
+        frame[:got] = self._rbuf[:got]
+        del self._rbuf[:got]
+        with memoryview(frame) as view:
+            while got < nbytes:
+                try:
+                    n = self._sock.recv_into(view[got:])
+                except OSError:
+                    self._skip = nbytes - got
+                    raise
+                if not n:
+                    raise ConnectionError(
+                        f"server closed the connection mid-frame "
+                        f"({got} of {nbytes} bytes)"
+                    )
+                got += n
+        return frame
+
+    def _skip_frame_rest(self) -> None:
+        """Discard what is left of a frame whose read timed out."""
+        while self._skip:
+            if not self._rbuf:
+                chunk = self._sock.recv(min(self._skip, 65536))
+                if not chunk:
+                    raise ConnectionError("server closed the connection mid-frame")
+                self._rbuf.extend(chunk)
+            n = min(self._skip, len(self._rbuf))
+            del self._rbuf[:n]
+            self._skip -= n
 
     def call(self, op: str, **payload: Any):
         """Request ``op`` and return its ``result`` (raises on failure)."""

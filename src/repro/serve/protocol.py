@@ -13,10 +13,38 @@ shortest round-trip representation — so a served trajectory compares
 **bit-identical** (parity 0.0) to a direct in-process solve; the PERF-04
 bench and the CI smoke job assert exactly that.  The bulk arrays of the
 execution-fabric ops (``solve_shard`` trajectories, resolved demand
-matrices) instead ride as packed buffers — base64 of the raw C-order
-IEEE-754 bytes, ``{"__nd__": shape, "dtype": ..., "b64": ...}`` — which
-is bit-exact by construction and keeps codec time negligible next to
-the solve; decoders accept plain nested lists in the same positions.
+matrices) instead ride as packed buffers of the raw C-order IEEE-754
+bytes, which is bit-exact by construction; decoders accept plain nested
+lists in the same positions.  A packed buffer takes one of two forms:
+
+* **inline** — ``{"__nd__": shape, "dtype": ..., "b64": ...}``, the
+  bytes base64-encoded inside the JSON line;
+* **framed** — ``{"__nd__": shape, "dtype": ..., "at": offset}``, the
+  bytes at ``offset`` of a binary *frame* that follows the line.
+
+Framed replies
+--------------
+
+A ``solve_shard`` request carrying ``"frames": 1`` asks for a framed
+reply.  The worker then packs every reply array as a frame reference
+and its envelope announces the frame length as ``"frame": nbytes``;
+exactly ``nbytes`` raw bytes follow the envelope's ``\n``.  Arrays sit
+in the frame in C order, each at an 8-byte aligned offset (zero
+padding between them), so the client takes them straight out of the
+frame: no base64 and no JSON parse over megabytes on either side.
+
+Compatibility:
+
+* a request without ``frames`` gets the inline (base64) reply, byte for
+  byte as before frames existed — an old driver keeps working against a
+  new worker;
+* an old worker ignores the field and answers inline, which the new
+  driver decodes as it always has;
+* a reference that points outside the frame (or a frame reference in a
+  reply that announced no frame) is a :class:`ProtocolError`.
+
+Requests stay one line: a worker that predates frames could not read a
+framed request, so sending one would first need a capability check.
 
 Scenario codec
 --------------
@@ -72,6 +100,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from typing import Any, Mapping
 
 import numpy as np
@@ -83,6 +112,8 @@ from ..solvers.scenario import Scenario, WorkloadClass
 from ..solvers.validation import SolverInputError
 
 __all__ = [
+    "FrameSink",
+    "Framed",
     "ProtocolError",
     "decode_request",
     "decode_scenario",
@@ -124,35 +155,100 @@ class ProtocolError(ValueError):
 #: cannot smuggle object arrays through ``np.dtype(...)``.
 _PACKED_DTYPES = ("float64", "int64", "int32")
 
+#: Alignment of every array inside a frame (the widest packed itemsize).
+_FRAME_ALIGN = 8
 
-def _pack_array(arr: np.ndarray) -> dict:
-    """Binary wire form of an ndarray: base64 of the raw C-order buffer.
+
+class FrameSink:
+    """The binary frame of one reply, collected while its arrays are packed.
+
+    ``chunks`` are zero-copy byte views of the packed arrays, with zero
+    padding that keeps every offset 8-byte aligned; the server writes
+    them after the envelope line, in order.
+    """
+
+    __slots__ = ("chunks", "nbytes")
+
+    def __init__(self) -> None:
+        self.chunks: list = []
+        self.nbytes = 0
+
+    def add(self, arr: np.ndarray) -> int:
+        """Append a C-contiguous array; return its offset in the frame."""
+        at = self.nbytes
+        if arr.nbytes:
+            self.chunks.append(memoryview(arr).cast("B"))
+        pad = -arr.nbytes % _FRAME_ALIGN
+        if pad:
+            self.chunks.append(bytes(pad))
+        self.nbytes = at + arr.nbytes + pad
+        return at
+
+
+class Framed(dict):
+    """A JSON object plus the binary frame its packed arrays point into.
+
+    The dict itself stays plain JSON (``json.dumps`` of it is the
+    envelope line); ``frame`` is the :class:`FrameSink` a worker writes
+    after that line, or the bytes a client read after it.
+    """
+
+    def __init__(self, *args, frame=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.frame = frame
+
+
+def _pack_array(arr: np.ndarray, frame: FrameSink | None = None) -> dict:
+    """Binary wire form of an ndarray: its raw C-order buffer.
 
     Bit-exact by construction (it *is* the IEEE-754 buffer) and ~50x
-    cheaper to encode/decode than nested JSON float lists — the
-    difference between a ``solve_shard`` response dominated by codec
-    time and one dominated by the solve.
+    cheaper to encode/decode than nested JSON float lists.  Without a
+    ``frame`` the buffer rides inline as base64; with one it is appended
+    to the frame and the entry records its offset.
     """
     arr = np.ascontiguousarray(arr)
     if str(arr.dtype) not in _PACKED_DTYPES:
         arr = np.ascontiguousarray(arr, dtype=float)
-    return {
-        "__nd__": list(arr.shape),
-        "dtype": str(arr.dtype),
-        "b64": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
+    packed: dict[str, Any] = {"__nd__": list(arr.shape), "dtype": str(arr.dtype)}
+    if frame is None:
+        packed["b64"] = base64.b64encode(arr.tobytes()).decode("ascii")
+    else:
+        packed["at"] = frame.add(arr)
+    return packed
 
 
-def _unpack_array(raw, dtype=None) -> np.ndarray:
-    """Inverse of :func:`_pack_array`; plain nested lists still decode."""
+def _unpack_array(raw, dtype=None, frame=None) -> np.ndarray:
+    """Inverse of :func:`_pack_array`; plain nested lists still decode.
+
+    A framed entry becomes a view into ``frame`` (no copy); one that
+    points outside it raises :class:`ProtocolError`.
+    """
     if isinstance(raw, Mapping) and "__nd__" in raw:
         declared = str(raw["dtype"])
         if declared not in _PACKED_DTYPES:
             raise ProtocolError(f"packed array dtype {declared!r} not allowed")
-        flat = np.frombuffer(base64.b64decode(raw["b64"]), dtype=np.dtype(declared))
-        arr = flat.reshape([int(d) for d in raw["__nd__"]]).copy()
+        shape = [int(d) for d in raw["__nd__"]]
+        if "at" in raw:
+            arr = _frame_view(frame, raw["at"], shape, np.dtype(declared))
+        else:
+            flat = np.frombuffer(base64.b64decode(raw["b64"]), dtype=np.dtype(declared))
+            arr = flat.reshape(shape).copy()
         return arr if dtype is None else np.ascontiguousarray(arr, dtype=dtype)
     return np.asarray(raw) if dtype is None else np.asarray(raw, dtype=dtype)
+
+
+def _frame_view(frame, at, shape: list[int], dtype: np.dtype) -> np.ndarray:
+    if frame is None:
+        raise ProtocolError("packed array refers to a frame, but none was sent")
+    if isinstance(at, bool) or not isinstance(at, int) or min(shape, default=0) < 0:
+        raise ProtocolError(f"malformed frame reference at={at!r} shape={shape!r}")
+    count = math.prod(shape)
+    if at < 0 or at + count * dtype.itemsize > len(frame):
+        raise ProtocolError(
+            f"packed array [{at}, {at + count * dtype.itemsize}) falls outside "
+            f"the {len(frame)}-byte frame"
+        )
+    return np.frombuffer(frame, dtype=dtype, count=count, offset=at).reshape(shape)
 
 
 class _InterpTable:
@@ -417,17 +513,18 @@ _STACK_KINDS = {
 _STACK_TAGS = {kind: tag for tag, kind in _STACK_KINDS.items()}
 
 
-def encode_stack_result(result) -> dict:
+def encode_stack_result(result, frame: FrameSink | None = None) -> dict:
     """JSON-ready form of a batched sub-stack (the ``solve_shard`` body).
 
     The container's :meth:`~repro.engine.batched.ScenarioStack.to_arrays`
     view, with every array packed via :func:`_pack_array` (the raw
     IEEE-754 buffer, so round-trips are bit-exact and cost memcpy, not
-    float parsing), plus the isolated-failure records so a remote shard
-    degrades exactly like a local one.  The ``kind`` names the container:
-    ``batched-stack`` (single-class), ``multiclass-stack``
-    (full-population multi-class, whose ``populations`` rides as a plain
-    list) or ``multiclass-trajectory-stack`` (mix sweeps).
+    float parsing) — inline, or into ``frame`` when one is given — plus
+    the isolated-failure records so a remote shard degrades exactly like
+    a local one.  The ``kind`` names the container: ``batched-stack``
+    (single-class), ``multiclass-stack`` (full-population multi-class,
+    whose ``populations`` rides as a plain list) or
+    ``multiclass-trajectory-stack`` (mix sweeps).
     """
     if not isinstance(result, ScenarioStack):
         raise ProtocolError(
@@ -439,22 +536,26 @@ def encode_stack_result(result) -> dict:
         if value is None:
             payload[name] = None
         elif isinstance(value, np.ndarray):
-            payload[name] = _pack_array(value)
+            payload[name] = _pack_array(value, frame)
         else:
             payload[name] = list(value)
     payload["failures"] = _encode_failures(result)
     return payload
 
 
-def decode_stack_result(payload: Mapping[str, Any]):
-    """Rebuild the batched result a worker shipped back."""
+def decode_stack_result(payload: Mapping[str, Any], frame=None):
+    """Rebuild the batched result a worker shipped back.
+
+    ``frame`` is the reply's binary frame when it announced one (see the
+    module docstring); its arrays become views into it.
+    """
     try:
         kind = payload.get("kind")
         tag = _STACK_TAGS.get(kind)
         if tag is None:
             raise ValueError(f"unknown stack-result kind {kind!r}")
         arrays = {
-            name: _unpack_array(payload[name])
+            name: _unpack_array(payload[name], frame=frame)
             for name in ScenarioStack.containers[tag].LAYOUT
             if payload.get(name) is not None
         }
@@ -507,9 +608,14 @@ def encode_result(result) -> dict:
 
 
 def ok_envelope(request_id, result, provenance=None) -> dict:
+    """Success envelope; a :class:`Framed` result announces its frame."""
     envelope = {"id": request_id, "ok": True, "result": result}
     if provenance is not None:
         envelope["provenance"] = provenance
+    frame = getattr(result, "frame", None)
+    if frame is not None:
+        envelope = Framed(envelope, frame=frame)
+        envelope["frame"] = frame.nbytes
     return envelope
 
 

@@ -50,6 +50,8 @@ from ..solvers import solve, solve_stack
 from ..solvers.cache import SolverCache
 from .protocol import (
     MAX_LINE_BYTES,
+    FrameSink,
+    Framed,
     ProtocolError,
     _encode_failures,
     decode_request,
@@ -222,6 +224,11 @@ class SolverServer:
                     response = await self._dispatch(line)
                     shutdown_after = bool(response.pop("_shutdown", False))
                     writer.write(json.dumps(response).encode() + b"\n")
+                    frame = getattr(response, "frame", None)
+                    if frame is not None:
+                        # the arrays' own buffers, written as they are
+                        for chunk in frame.chunks:
+                            writer.write(chunk)
                     try:
                         await writer.drain()
                     except ConnectionResetError:
@@ -406,6 +413,9 @@ class SolverServer:
         ``fingerprints`` list the client computed from its *original*
         scenarios — a mismatch means the codec could not express the
         demand model exactly, and the shard must be solved locally.
+        A request carrying ``frames`` gets its arrays in a binary frame
+        after the reply line (see :mod:`repro.serve.protocol`); without
+        it they ride inline as base64.
         """
         raw = request.get("scenarios")
         if not isinstance(raw, list) or not raw:
@@ -441,10 +451,10 @@ class SolverServer:
                 )
 
         result, counts = self._classified(run)
-        return (
-            {**encode_stack_result(result), "start": start},
-            _provenance_label(counts),
-        )
+        frame = FrameSink() if request.get("frames") else None
+        payload = Framed(encode_stack_result(result, frame=frame), frame=frame)
+        payload["start"] = start
+        return payload, _provenance_label(counts)
 
     def _op_whatif(self, request):
         """One snapshot per requested population — the capacity question.
@@ -489,7 +499,8 @@ class SolverServer:
         cache like any other request (re-composing an unchanged
         subsystem is a cache hit).  ``flat_check: true`` additionally
         solves the flat scenario and reports the max throughput
-        divergence.
+        divergence.  ``options`` go to the subsystem and flat solves,
+        which run ``method``.
         """
         from ..solvers.fes import aggregate as fes_aggregate
         from ..solvers.fes import compose as fes_compose
@@ -519,7 +530,9 @@ class SolverServer:
                 )
                 current = fes_compose(current, [fes])
                 built.append(fes)
-            result = solve(current, method="auto", cache=self.cache, **options)
+            # ``options`` are for ``method``; the reduced scenario's
+            # auto-selected solver (ld-mva) reads none that JSON can carry
+            result = solve(current, method="auto", cache=self.cache)
             flat_parity = None
             if flat_check:
                 flat = solve(scenario, method=method, cache=self.cache, **options)

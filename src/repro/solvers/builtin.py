@@ -26,6 +26,11 @@ exact-multiclass           -            -         yes      yes    yes
 method-of-moments          -            -         yes      yes    -
 =========================  ===========  ========  =======  =====  =======
 
+Each registration lists the options its adapter reads, with their
+defaults (``options=``); the single-server solvers also accept
+``single_server=True``, the facade's waiver for running them on a
+multi-server network as the paper's single-server baseline.
+
 Bounds solvers return an :class:`~repro.core.bounds.AsymptoticBounds`
 envelope, ``interval-mva`` a :class:`~repro.core.interval_mva.PredictionBand`,
 the multi-class solvers their class-resolved containers; everything else
@@ -99,6 +104,7 @@ def _solve_balanced_job_bounds(scenario: Scenario, **options: Any):
     batched_kernel="exact-mva",
     cost=10,
     legacy="repro.core.mva.exact_mva",
+    options={"single_server": False},
 )
 def _solve_exact_mva(scenario: Scenario, **options: Any):
     net = _single_class_network(scenario, "exact-mva")
@@ -113,6 +119,7 @@ def _solve_exact_mva(scenario: Scenario, **options: Any):
     batched_kernel="schweitzer-amva",
     cost=12,
     legacy="repro.core.amva.schweitzer_amva",
+    options={"single_server": False},
 )
 def _solve_schweitzer(scenario: Scenario, **options: Any):
     net = _single_class_network(scenario, "schweitzer-amva")
@@ -126,6 +133,7 @@ def _solve_schweitzer(scenario: Scenario, **options: Any):
     summary="Chandy-Neuse Linearizer AMVA (single-server)",
     cost=15,
     legacy="repro.core.linearizer.linearizer_amva",
+    options={"single_server": False},
 )
 def _solve_linearizer(scenario: Scenario, **options: Any):
     net = _single_class_network(scenario, "linearizer")
@@ -157,6 +165,7 @@ def _solve_approx_multiserver(scenario: Scenario, **options: Any):
     exact=True,
     cost=20,
     legacy="repro.core.multiserver.exact_multiserver_mva",
+    options={"method": "convolution", "station_detail": True},
 )
 def _solve_exact_multiserver(scenario: Scenario, **options: Any):
     net = _single_class_network(scenario, "exact-multiserver-mva")
@@ -192,6 +201,7 @@ def _solve_linearizer_multiserver(scenario: Scenario, **options: Any):
     exact=True,
     cost=30,
     legacy="repro.core.convolution.convolution_mva",
+    options={"station_detail": True},
 )
 def _solve_convolution(scenario: Scenario, **options: Any):
     net = _single_class_network(scenario, "convolution")
@@ -211,6 +221,7 @@ def _solve_convolution(scenario: Scenario, **options: Any):
     batched_kernel="mvasd",
     cost=35,
     legacy="repro.core.mvasd.mvasd",
+    options={"single_server": False, "demand_axis": "population"},
 )
 def _solve_mvasd(scenario: Scenario, **options: Any):
     net = _single_class_network(scenario, "mvasd")
@@ -232,6 +243,7 @@ def _solve_mvasd(scenario: Scenario, **options: Any):
     batched_kernel="ld-mva",
     cost=40,
     legacy="repro.core.ld_mva.exact_load_dependent_mva",
+    options={"rates": None},
 )
 def _solve_ld_mva(scenario: Scenario, **options: Any):
     net = _single_class_network(scenario, "ld-mva")
@@ -252,12 +264,13 @@ def _solve_ld_mva(scenario: Scenario, **options: Any):
     cost=45,
     returns="band",
     legacy="repro.core.interval_mva.interval_mva",
+    options={"demand_intervals": None, "estimates": None},
 )
 def _solve_interval(scenario: Scenario, **options: Any):
     net = _single_class_network(scenario, "interval-mva")
-    if "demand_intervals" in options:
+    if options.get("demand_intervals") is not None:
         return interval_mva(net, scenario.max_population, options["demand_intervals"])
-    if "estimates" in options:
+    if options.get("estimates") is not None:
         return band_from_estimates(net, options["estimates"], scenario.max_population)
     raise SolverInputError(
         "interval-mva: pass demand_intervals={station: (lo, hi)} or "

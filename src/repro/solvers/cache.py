@@ -35,6 +35,8 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
+from .registry import UnknownSolverError, get_solver
+
 __all__ = [
     "CacheStats",
     "DEFAULT_MAXSIZE",
@@ -105,7 +107,9 @@ class CacheStats:
         return getattr(self, name)
 
 
-def canonical_options(options: Mapping[str, object]) -> tuple | None:
+def canonical_options(
+    options: Mapping[str, object], method: str | None = None
+) -> tuple | None:
     """Hashable canonical form of a solver-options mapping.
 
     Returns ``None`` when any value cannot be canonicalized (callables,
@@ -116,16 +120,31 @@ def canonical_options(options: Mapping[str, object]) -> tuple | None:
     fingerprints do not guarantee equal results there.  Floats are
     canonicalized the same way fingerprints are (``-0.0`` folds onto
     ``+0.0``), arrays hash by shape + canonical bytes, mappings by
-    sorted key.
+    sorted key.  With ``method``, an option spelled out at that
+    solver's declared default (same type, equal value) is dropped, so
+    it keys like the omitted default.
     """
     if options.get("demand_axis") == "throughput":
         return None
+    defaults = _option_defaults(method)
     try:
         return tuple(
-            (str(k), _canonical_value(v)) for k, v in sorted(options.items())
+            (str(k), _canonical_value(v))
+            for k, v in sorted(options.items())
+            if not (k in defaults and type(v) is type(defaults[k]) and v == defaults[k])
         )
     except _Uncacheable:
         return None
+
+
+def _option_defaults(method: str | None) -> Mapping[str, object]:
+    if method is None:
+        return {}
+    try:
+        return get_solver(method).options
+    except UnknownSolverError:
+        return {}
+
 
 
 class _Uncacheable(Exception):

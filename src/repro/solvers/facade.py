@@ -145,8 +145,20 @@ def _resolve_spec(
         raise SolverCapabilityError(
             f"{spec.name}: multi-class solver needs a scenario with classes"
         )
+    _check_option_names(spec, options or {})
     _check_single_class_capabilities(spec, scenario, options or {})
     return spec
+
+
+def _check_option_names(spec: SolverSpec, options: Mapping[str, Any]) -> None:
+    """Refuse option names ``spec`` does not read — they would be ignored."""
+    unknown = sorted(set(options) - set(spec.options))
+    if unknown:
+        accepted = ", ".join(sorted(spec.options)) or "none"
+        raise SolverInputError(
+            f"{spec.name}: unknown option(s) {', '.join(map(repr, unknown))}; "
+            f"accepted: {accepted}"
+        )
 
 
 def _check_single_class_capabilities(
@@ -220,7 +232,7 @@ def _nearest_batched_method(spec: SolverSpec) -> str | None:
 
 def _cache_key(kind, fingerprints, spec, backend, options):
     """Cache key for a request, or ``None`` when it is uncacheable."""
-    opts = canonical_options(options)
+    opts = canonical_options(options, spec.name)
     if opts is None:
         return None
     return (kind, fingerprints, spec.name, backend, opts)
@@ -265,7 +277,9 @@ def solve(
         Forwarded to the solver adapter (e.g. ``single_server=True`` or
         ``demand_axis="throughput"`` for ``mvasd``,
         ``station_detail=False`` for the convolution-backed solvers,
-        ``demand_intervals=...`` for ``interval-mva``).
+        ``demand_intervals=...`` for ``interval-mva``).  A name the
+        method does not declare (:attr:`SolverSpec.options`) raises
+        :class:`SolverInputError`.
     """
     if not isinstance(scenario, Scenario):
         return solve_stack(
@@ -614,6 +628,7 @@ def solve_stack(
             f"{spec.name}: scenarios have customer classes but the solver is "
             f"single-class; use a multiclass-capable method (or method='auto')"
         )
+    _check_option_names(spec, options)
     for sc in scenarios:
         _check_single_class_capabilities(spec, sc, options)
     resolved = _resolve_backend(spec, len(scenarios), backend, workers)

@@ -19,21 +19,29 @@ Registering a new solver is one decorator::
         varying_demands=False,
         exact=False,
         cost=22,
+        options={"tolerance": 1e-8},
     )
     def _solve_my_solver(scenario, **options):
-        return my_solver(scenario.resolved_network(), scenario.max_population, ...)
+        return my_solver(
+            scenario.resolved_network(),
+            scenario.max_population,
+            tolerance=options.get("tolerance", 1e-8),
+        )
 
-The adapter receives a validated :class:`~repro.solvers.scenario.Scenario`
-and returns the solver's native result — a canonical
-:class:`~repro.core.results.MVAResult` for trajectory solvers (declared
-via ``returns="trajectory"``), a bounds envelope, a prediction band, or
-a multi-class container.
+``options`` names every option the adapter reads, with its default:
+the facade refuses any other name (an ignored option would silently
+return the wrong answer), and a default spelled out keys the cache like
+the omitted one.  The adapter receives a validated
+:class:`~repro.solvers.scenario.Scenario` and returns the solver's
+native result — a canonical :class:`~repro.core.results.MVAResult` for
+trajectory solvers (declared via ``returns="trajectory"``), a bounds
+envelope, a prediction band, or a multi-class container.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping
 
 __all__ = [
     "DuplicateSolverError",
@@ -105,6 +113,10 @@ class SolverSpec:
     legacy:
         Dotted path of the thin public wrapper this spec adapts, for
         documentation and the parity suite.
+    options:
+        Every option name the adapter reads, mapped to its default.
+        The facade refuses any other name, and cache keys drop an
+        option spelled out at its default.
     """
 
     name: str
@@ -119,6 +131,7 @@ class SolverSpec:
     cost: int = 50
     returns: str = "trajectory"
     legacy: str | None = None
+    options: Mapping[str, Any] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         if not self.name or any(ch.isspace() for ch in self.name):
@@ -154,6 +167,7 @@ def register_solver(
     cost: int = 50,
     returns: str = "trajectory",
     legacy: str | None = None,
+    options: Mapping[str, Any] | None = None,
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Class-method decorator registering ``fn`` as solver ``name``.
 
@@ -181,6 +195,7 @@ def register_solver(
             cost=cost,
             returns=returns,
             legacy=legacy,
+            options=dict(options or {}),
         )
         return fn
 

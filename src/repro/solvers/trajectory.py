@@ -121,7 +121,7 @@ class TrajectoryStore:
         """
         from .cache import canonical_options  # deferred: cache imports us
 
-        opts = canonical_options(options)
+        opts = canonical_options(options, method)
         if opts is None:
             return None
         base = scenario.with_overrides(max_population=1).fingerprint()

@@ -249,6 +249,21 @@ class TestCanonicalOptions:
     def test_callables_are_uncacheable(self):
         assert canonical_options({"fn": lambda x: x}) is None
 
+    def test_spelled_out_default_folds_for_its_method(self):
+        assert canonical_options({"demand_axis": "population"}, "mvasd") == ()
+        assert canonical_options(
+            {"single_server": False, "demand_axis": "population"}, "mvasd"
+        ) == canonical_options({}, "mvasd")
+        # omitted defaults key exactly as before, so stored entries keep hitting
+        assert canonical_options({"single_server": True}, "mvasd") == canonical_options(
+            {"single_server": True}
+        )
+        # same type only: 0 is not the declared False
+        assert canonical_options({"single_server": 0}, "mvasd") == (("single_server", 0),)
+        # no method (or an unknown one): nothing folds
+        assert canonical_options({"demand_axis": "population"}) != ()
+        assert canonical_options({"demand_axis": "population"}, "no-such-solver") != ()
+
 
 class TestSolverCache:
     def test_lru_eviction_and_counters(self):
@@ -350,6 +365,31 @@ class TestSolveCaching:
         solve(sc, method="mvasd", demand_axis="throughput", cache=cache)
         s = cache.stats()
         assert s.hits == 0 and s.size == 0 and s.uncacheable == 2
+
+    def test_spelled_out_default_shares_every_tier(self, net, tmp_path):
+        db = tmp_path / "cache.sqlite"
+        sc = Scenario(
+            net, 20, demand_functions={"web": lambda n: 0.02, "db": lambda n: 0.05}
+        )
+        cache = SolverCache(persistent=db)
+        first = solve(sc, method="mvasd", cache=cache)
+        again = solve(sc, method="mvasd", demand_axis="population", cache=cache)
+        s = cache.stats()
+        assert again is first
+        assert (s.misses, s.hits, s.size) == (1, 1, 1)
+        # the trajectory family: a shallower what-if is a prefix slice
+        solve(
+            sc.with_overrides(max_population=10),
+            method="mvasd",
+            demand_axis="population",
+            cache=cache,
+        )
+        assert cache.stats().trajectory_hits == 1
+        # the sqlite tier: a restarted process finds the omitted-default entry
+        restarted = SolverCache(persistent=db)
+        hit = solve(sc, method="mvasd", demand_axis="population", cache=restarted)
+        assert restarted.stats().persistent_hits == 1
+        assert np.array_equal(hit.throughput, first.throughput)
 
     def test_stack_caching(self, net):
         cache = SolverCache()

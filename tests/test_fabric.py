@@ -508,6 +508,165 @@ class TestRemoteEndToEnd:
         assert "auto/serial/batched" in envelope["error"]["error"]
 
 
+# -- framed replies --------------------------------------------------------------
+
+
+def _assert_same_arrays(got, want):
+    """Every array ``want`` holds is in ``got`` too, bit for bit."""
+    got_arrays, _ = got.to_arrays()
+    want_arrays, _ = want.to_arrays()
+    assert list(got_arrays) == list(want_arrays)
+    for name, arr in want_arrays.items():
+        if arr is not None:
+            assert np.array_equal(got_arrays[name], arr, equal_nan=True), name
+
+
+class _TruncatingWorker:
+    """A fake worker host: every reply announces a frame, then hangs up mid-frame."""
+
+    def __init__(self):
+        import socket
+
+        self._sock = socket.socket()
+        self._sock.bind(("127.0.0.1", 0))
+        self._sock.listen(8)
+        self.port = self._sock.getsockname()[1]
+        self.requests: list[dict] = []
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        import json
+
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return  # closed
+            with conn, conn.makefile("rwb") as f:
+                line = f.readline()
+                if not line:
+                    continue
+                request = json.loads(line)
+                self.requests.append(request)
+                header = {"id": request["id"], "ok": True, "result": {}, "frame": 4096}
+                f.write(json.dumps(header).encode() + b"\n" + b"\0" * 100)
+                f.flush()
+
+    def close(self):
+        self._sock.close()
+        self._thread.join(timeout=5.0)
+
+
+class TestFramedReplies:
+    @pytest.fixture
+    def frames_read(self, monkeypatch):
+        """Sizes of every frame the driver's clients read."""
+        sizes: list[int] = []
+        read = ServeClient._read_frame
+
+        def spy(self, nbytes):
+            frame = read(self, nbytes)
+            if frame is not None:
+                sizes.append(len(frame))
+            return frame
+
+        monkeypatch.setattr(ServeClient, "_read_frame", spy)
+        return sizes
+
+    def test_every_container_bit_identical_to_serial(self, worker_fleet, frames_read):
+        _, hosts = worker_fleet
+        net = ClosedNetwork(
+            [Station("web", 0.02, servers=2), Station("db", 0.05)], think_time=1.0
+        )
+        varying = [
+            Scenario(
+                net,
+                15,
+                demand_functions={
+                    "web": lambda n, s=s: 0.02 * s * (1.0 + 0.01 * np.asarray(n)),
+                    "db": lambda n, s=s: 0.05 + 0.001 * s * np.asarray(n, dtype=float),
+                },
+            )
+            for s in (0.9, 1.0, 1.1, 1.2)
+        ]
+        single = ClosedNetwork([Station("web", 0.02), Station("db", 0.05)], think_time=1.0)
+        mixes = [
+            Scenario(
+                single,
+                6,
+                classes=(
+                    WorkloadClass("browse", 4, {"web": 0.02 * s, "db": 0.05}, think_time=1.0),
+                    WorkloadClass(
+                        "buy",
+                        2,
+                        {"web": lambda n, s=s: 0.03 * s + 0.001 * np.asarray(n, dtype=float),
+                         "db": 0.04},
+                        think_time=0.5,
+                    ),
+                ),
+            )
+            for s in (0.9, 1.0, 1.1, 1.2)
+        ]
+        for scenarios, method in (
+            (varying, "mvasd"),  # batched-stack, demands_used on the wire
+            (mixes, "exact-multiclass"),  # multiclass-stack
+            (mixes, "multiclass-mvasd"),  # multiclass-trajectory-stack
+        ):
+            before = len(frames_read)
+            remote = solve_stack(scenarios, method=method, cache=None, hosts=hosts)
+            assert remote.backend == "remote"
+            assert len(frames_read) > before and min(frames_read) > 0, method
+            assert remote.demands_used is not None, method
+            for backend in ("serial", "batched"):
+                local = solve_stack(scenarios, method=method, backend=backend, cache=None)
+                _assert_same_arrays(remote, local)
+
+    def test_worker_that_predates_frames_answers_in_base64(
+        self, monkeypatch, gated_worker, frames_read, stack
+    ):
+        from repro.serve.server import SolverServer
+
+        port, release = gated_worker
+        release.set()
+        solve_shard = SolverServer._op_solve_shard
+
+        def old_worker(self, request):  # never heard of the field
+            return solve_shard(self, {k: v for k, v in request.items() if k != "frames"})
+
+        monkeypatch.setattr(SolverServer, "_op_solve_shard", old_worker)
+        t = RemoteTransport([("127.0.0.1", port)])
+        try:
+            shards = [(0, 0, 4), (1, 4, 8)]
+            outs = t.run_shards(shards, ("exact-mva", "batched", list(stack), {}), timeout=30.0)
+        finally:
+            t.close()
+        assert frames_read == []
+        for (_, start, stop), out in zip(shards, outs):
+            local = solve_stack(stack[start:stop], method="exact-mva", backend="serial", cache=None)
+            _assert_same_arrays(out, local)
+
+    def test_worker_closing_mid_frame_is_a_lost_connection(self, stack, baseline):
+        fake = _TruncatingWorker()
+        t = RemoteTransport([("127.0.0.1", fake.port)])
+        try:
+            payload = ("exact-mva", "batched", list(stack), {})
+            outs = t.run_shards([(0, 0, 4), (1, 4, 8)], payload, timeout=5.0)
+            assert all(isinstance(o, WorkerConnectionLost) for o in outs), outs
+            assert all("mid-frame (100 of 4096 bytes)" in str(o) for o in outs), outs
+            assert fake.requests and all(r["frames"] == 1 for r in fake.requests)
+            # the dispatcher solves the lost shards again: the sweep completes
+            result = solve_stack(
+                stack, method="exact-mva", cache=None, hosts=f"127.0.0.1:{fake.port}",
+                retry_policy=RetryPolicy(max_retries=1, backoff_base=0.0),
+            )
+            assert result.backend == "remote"
+            _assert_same_arrays(result, baseline)
+        finally:
+            t.close()
+            fake.close()
+
+
 # -- overload shedding and elastic membership ----------------------------------
 
 

@@ -24,9 +24,19 @@ import pytest
 import repro
 from repro.cli import main as cli_main
 from repro.serve import ServeClient, ServeError, decode_scenario, encode_result
-from repro.serve.protocol import ProtocolError, decode_request, error_envelope
-from repro.serve.server import _provenance_counts, _provenance_label
+from repro.serve.protocol import (
+    FrameSink,
+    Framed,
+    ProtocolError,
+    decode_request,
+    decode_stack_result,
+    encode_stack_result,
+    error_envelope,
+    ok_envelope,
+)
+from repro.serve.server import SolverServer, _provenance_counts, _provenance_label
 from repro.solvers import Scenario, solve
+from tests.fixtures.stack_compat import WIRE, FAILURES, assert_same_stack, build_stacks
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -367,6 +377,28 @@ class TestServe:
         assert second["provenance"] == "memory"
         assert second["result"]["throughput"] == result["throughput"]
 
+    def test_compose_options_go_to_the_named_method(self):
+        # station_detail is exact-multiserver-mva's option; the composed
+        # scenario's ld-mva solve must not be handed it
+        request = {
+            "scenario": {
+                "stations": [
+                    {"name": "a", "demand": 0.02, "servers": 2},
+                    {"name": "b", "demand": 0.03},
+                    {"name": "c", "demand": 0.01},
+                ],
+                "think_time": 1.0,
+                "max_population": 20,
+            },
+            "method": "exact-multiserver-mva",
+            "options": {"station_detail": False},
+            "aggregates": [{"stations": ["b", "c"], "name": "bc"}],
+            "flat_check": True,
+        }
+        payload, _ = SolverServer(port=0)._op_compose(request)
+        assert payload["composition"]["aggregates"][0]["solver"] == "exact-multiserver-mva"
+        assert payload["flat_parity"] <= 1e-8
+
     def test_compose_rejects_empty_aggregates(self, server):
         payload = _scenario_payload(n=10)
         with ServeClient(port=server["port"]) as client:
@@ -406,6 +438,20 @@ class TestServe:
             with pytest.raises(ServeError) as excinfo:
                 client.solve(payload, method="mvasd")
         assert "think_time" in excinfo.value.envelope["error"]["error"]
+
+    def test_error_envelope_for_an_option_the_method_ignores(self, server):
+        with ServeClient(port=server["port"]) as client:
+            envelope = client.request(
+                {
+                    "op": "solve",
+                    "method": "exact-mva",
+                    "scenario": _scenario_payload(),
+                    "options": {"demand_axis": "throughput"},
+                }
+            )
+        assert envelope["ok"] is False
+        assert envelope["error"]["type"] == "SolverInputError"
+        assert "accepted: single_server" in envelope["error"]["error"]
 
     def test_error_envelope_for_unknown_op(self, server):
         with ServeClient(port=server["port"]) as client:
@@ -643,6 +689,14 @@ class _ChunkedSocket:
             raise chunk
         return chunk
 
+    def recv_into(self, buf):
+        data = self.recv(len(buf))
+        n = min(len(buf), len(data))
+        buf[:n] = data[:n]
+        if n < len(data):
+            self.chunks.insert(0, data[n:])
+        return n
+
     def settimeout(self, timeout):
         pass
 
@@ -732,6 +786,162 @@ class TestLineReader:
         with pytest.raises(ConnectionError, match="mid-reply .11 bytes"):
             client._readline_bounded()
         assert client._rbuf == bytearray() and client._scanned == 0
+
+
+# -- framed solve_shard replies -------------------------------------------------
+
+STACK_KINDS = ("mva", "multiclass", "multiclass-trajectory")
+
+
+def _framed(stack):
+    """``(payload, frame bytes)`` of a stack packed into a frame."""
+    sink = FrameSink()
+    payload = encode_stack_result(stack, frame=sink)
+    frame = b"".join(bytes(chunk) for chunk in sink.chunks)
+    assert len(frame) == sink.nbytes
+    return payload, frame
+
+
+def _framed_line(request_id, payload, frame_len):
+    envelope = {"id": request_id, "ok": True, "result": payload, "frame": frame_len}
+    return json.dumps(envelope).encode() + b"\n"
+
+
+class TestFramedProtocol:
+    @pytest.mark.parametrize("key", STACK_KINDS)
+    def test_frame_round_trip_is_bit_exact(self, key):
+        stack = build_stacks(FAILURES)[key]
+        payload, frame = _framed(stack)
+        line = json.dumps(payload)
+        assert "b64" not in line
+        packed = [v for v in payload.values() if isinstance(v, dict) and "__nd__" in v]
+        assert packed and all(v["at"] % 8 == 0 for v in packed)
+        assert_same_stack(decode_stack_result(json.loads(line), frame=bytearray(frame)), stack)
+
+    def test_reference_outside_the_frame_refused(self):
+        payload, frame = _framed(build_stacks()["mva"])
+        with pytest.raises(ProtocolError, match="falls outside the"):
+            decode_stack_result(payload, frame=bytearray(frame[:-8]))
+        with pytest.raises(ProtocolError, match="refers to a frame, but none was sent"):
+            decode_stack_result(payload)
+        payload["throughput"] = {**payload["throughput"], "at": -8}
+        with pytest.raises(ProtocolError, match="falls outside the"):
+            decode_stack_result(payload, frame=bytearray(frame))
+
+    @pytest.fixture
+    def shard_op(self, monkeypatch):
+        """``solve_shard`` on an in-process server whose solve returns a fixture stack."""
+        import repro.serve.server as server_mod
+
+        server = SolverServer(port=0)
+
+        def run(key, **fields):
+            stack = build_stacks(FAILURES)[key]
+            monkeypatch.setattr(server_mod, "solve_stack", lambda *a, **kw: stack)
+            request = {
+                "op": "solve_shard",
+                "scenarios": [_scenario_payload()],
+                "method": "exact-mva",
+                **fields,
+            }
+            envelope = ok_envelope(3, *server._op_solve_shard(request))
+            return stack, envelope, json.dumps(envelope).encode() + b"\n"
+
+        return run
+
+    @pytest.mark.parametrize("key", STACK_KINDS)
+    def test_request_without_frames_gets_the_base64_payload(self, shard_op, key):
+        _, envelope, line = shard_op(key)
+        assert not isinstance(envelope, Framed) and "frame" not in envelope
+        result = json.loads(line)["result"]
+        assert result.pop("start") == 0
+        assert result == json.loads(WIRE.read_text())[key]
+
+    @pytest.mark.parametrize("key", STACK_KINDS)
+    def test_request_with_frames_gets_a_frame(self, shard_op, key):
+        stack, envelope, line = shard_op(key, frames=1)
+        assert isinstance(envelope, Framed)
+        frame = b"".join(bytes(chunk) for chunk in envelope.frame.chunks)
+        assert envelope["frame"] == len(frame) > 0
+        assert b"b64" not in line and len(line) < 4096
+        wire = json.loads(line)
+        assert wire["frame"] == len(frame)
+        assert_same_stack(decode_stack_result(wire["result"], frame=bytearray(frame)), stack)
+
+
+class TestFramedClient:
+    def test_late_framed_reply_is_discarded_with_its_frame(self):
+        stack = build_stacks(FAILURES)["mva"]
+        payload, frame = _framed(stack)
+        ids = []
+
+        def handler(f):
+            ids.append(json.loads(f.readline())["id"])
+            time.sleep(0.5)  # past the client's read timeout
+            ids.append(json.loads(f.readline())["id"])
+            # the stale reply's frame is all newlines: read as lines, it
+            # would desynchronize the stream
+            f.write(_framed_line(ids[0], payload, len(frame)) + b"\n" * len(frame))
+            f.write(_framed_line(ids[1], payload, len(frame)) + frame)
+            f.flush()
+
+        srv = _ScriptedServer(handler)
+        try:
+            with ServeClient(port=srv.port, timeout=0.2) as client:
+                with pytest.raises(OSError):
+                    client.request({"op": "solve_shard"})
+                client._sock.settimeout(10.0)
+                envelope = client.request({"op": "solve_shard"})
+            assert envelope["id"] == ids[1]
+            assert isinstance(envelope, Framed)
+            json.dumps(envelope)  # still plain JSON for tracers and loggers
+            assert_same_stack(decode_stack_result(envelope["result"], frame=envelope.frame), stack)
+        finally:
+            srv.close()
+
+    def test_timeout_mid_frame_skips_the_rest(self, chunked_client):
+        payload, frame = _framed(build_stacks()["mva"])
+        chunks = [
+            _framed_line(1, payload, len(frame)) + frame[:10],
+            socket.timeout("timed out"),
+            frame[10:] + _framed_line(2, payload, len(frame)) + frame,
+        ]
+        client, _ = chunked_client(chunks)
+        with pytest.raises(OSError):
+            client.request({"op": "solve_shard"})
+        assert client._skip == len(frame) - 10
+        envelope = client.request({"op": "solve_shard"})
+        assert envelope["id"] == 2 and bytes(envelope.frame) == frame
+        assert client._skip == 0 and client._rbuf == bytearray()
+
+    def test_eof_mid_frame_raises_connection_error(self):
+        def handler(f):
+            request_id = json.loads(f.readline())["id"]
+            f.write(_framed_line(request_id, {}, 100) + b"\0" * 10)
+            f.flush()
+
+        srv = _ScriptedServer(handler)
+        try:
+            with ServeClient(port=srv.port, timeout=5.0) as client:
+                with pytest.raises(ConnectionError, match=r"mid-frame \(10 of 100 bytes\)"):
+                    client.request({"op": "solve_shard"})
+        finally:
+            srv.close()
+
+    def test_oversized_frame_refused_before_reading_it(self, chunked_client, monkeypatch):
+        import repro.serve.client as client_mod
+
+        monkeypatch.setattr(client_mod, "MAX_LINE_BYTES", 1024)
+        client, sock = chunked_client([_framed_line(1, {}, 1025), b"x" * 1025])
+        with pytest.raises(ConnectionError, match="frame of 1025 bytes exceeds 1024"):
+            client.request({"op": "solve_shard"})
+        assert sock.chunks == [b"x" * 1025]
+
+    @pytest.mark.parametrize("length", [-1, "8", 2.0, True])
+    def test_malformed_frame_length_refused(self, chunked_client, length):
+        client, _ = chunked_client([_framed_line(1, {}, length)])
+        with pytest.raises(ConnectionError, match="malformed frame length"):
+            client.request({"op": "solve_shard"})
 
 
 # -- admission control and graceful drain --------------------------------------

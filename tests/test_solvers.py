@@ -376,6 +376,49 @@ class TestCapabilityEnforcement:
         assert "yes" in ld_row
 
 
+class TestOptionNames:
+    """A method refuses options it does not read, instead of ignoring them."""
+
+    def test_solve_rejects_an_option_the_method_ignores(self, single_server_net):
+        with pytest.raises(
+            SolverInputError,
+            match=r"exact-mva: unknown option\(s\) 'demand_axis'; accepted: single_server",
+        ):
+            solve(
+                Scenario(single_server_net, 10),
+                method="exact-mva",
+                demand_axis="throughput",
+                cache=None,
+            )
+
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    def test_solve_stack_rejects_an_option_the_method_ignores(
+        self, multiserver_net, backend
+    ):
+        stack = [Scenario(multiserver_net, 10)] * 2
+        with pytest.raises(SolverInputError, match="unknown option.*'demand_axis'"):
+            solve_stack(
+                stack,
+                method="exact-mva",
+                backend=backend,
+                demand_axis="users",
+                single_server=True,
+                cache=None,
+            )
+
+    def test_declared_options_are_accepted(self, varying_net):
+        sc = Scenario(varying_net, 10)
+        spec = get_solver("mvasd")
+        assert dict(spec.options) == {"single_server": False, "demand_axis": "population"}
+        spelled = solve(sc, method="mvasd", cache=None, **spec.options)
+        omitted = solve(sc, method="mvasd", cache=None)
+        assert np.array_equal(spelled.throughput, omitted.throughput)
+
+    def test_a_method_without_options_refuses_every_name(self, single_server_net):
+        with pytest.raises(SolverInputError, match="accepted: none"):
+            solve(Scenario(single_server_net, 10), method="bounds", single_server=True)
+
+
 class TestBatchedBackend:
     def test_batched_equals_scalar_on_stacked_scenarios(self, single_server_net):
         base = Scenario(single_server_net, 30)

@@ -10,7 +10,8 @@ check what it saw — all in a subprocess, because the patches are
 process-wide.  One sweep is sharded over local processes (and the watch
 must count an in-driver re-solve), the other goes to a ``repro worker``
 over the wire (and the traced byte counts must equal the bytes the
-client really sent and read).
+client really sent and read as lines; the reply arrays arrive as frame
+bytes after those lines, which the traced counts leave out).
 """
 
 import os
@@ -84,9 +85,10 @@ FLEET_SCRIPT = textwrap.dedent(
     from repro.solvers import Scenario, solve_stack
 
     # The wire bytes as the driver really moves them: every send on a
-    # socket, and every line the client reads back.
-    wire = {"sent": 0, "read": 0}
+    # socket, every line the client reads back, and every reply frame.
+    wire = {"sent": 0, "read": 0, "frame": 0}
     send, readline = socket.socket.send, ServeClient._readline_bounded
+    read_frame = ServeClient._read_frame
 
     def counted_send(self, data, *args):
         n = send(self, data, *args)
@@ -98,8 +100,14 @@ FLEET_SCRIPT = textwrap.dedent(
         wire["read"] += len(line)
         return line
 
+    def counted_frame(self, nbytes):
+        frame = read_frame(self, nbytes)
+        wire["frame"] += 0 if frame is None else len(frame)
+        return frame
+
     socket.socket.send = counted_send
     ServeClient._readline_bounded = counted_readline
+    ServeClient._read_frame = counted_frame
 
     watch = tracing.Watch()  # before the sweep, as perfbench does
     worker = subprocess.Popen(
@@ -138,6 +146,8 @@ FLEET_SCRIPT = textwrap.dedent(
         assert totals.get("protocol.request_bytes") == wire["sent"], (totals, wire)
         assert totals.get("protocol.response_bytes") == wire["read"], (totals, wire)
         assert wire["sent"] > 0 and wire["read"] > 0, wire
+        # the reply arrays came back as frame bytes, not base64 lines
+        assert wire["frame"] > 0, wire
         assert watch.counts() == {
             "fabric.local_fallback_shards": 0,
             "transport.overload_retries": 0,
