@@ -38,6 +38,7 @@ anything callable ``level -> seconds``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -64,6 +65,14 @@ def _resolve_demand_functions(
     return resolve_demand_functions(network, demand_functions, solver="mvasd")
 
 
+@lru_cache(maxsize=16)
+def _population_grid(max_population: int) -> np.ndarray:
+    """The read-only grid ``1..N`` as floats, shared by every caller."""
+    grid = np.arange(1, max_population + 1, dtype=float)
+    grid.setflags(write=False)
+    return grid
+
+
 def precompute_demand_matrix(
     fns: Sequence[DemandFn],
     max_population: int,
@@ -83,22 +92,20 @@ def precompute_demand_matrix(
     if levels is None:
         if max_population < 1:
             raise ValueError(f"max_population must be >= 1, got {max_population}")
-        levels = np.arange(1, max_population + 1, dtype=float)
+        levels = _population_grid(int(max_population))
     else:
         levels = np.asarray(levels, dtype=float)
-    cols = []
-    for f in fns:
-        col = None
+    matrix = np.empty((levels.shape[0], len(fns)))
+    for k, f in enumerate(fns):
         try:
             out = np.asarray(f(levels), dtype=float)
-            if out.shape == levels.shape:
-                col = out
+            vectorized = out.shape == levels.shape
         except Exception:
-            col = None
-        if col is None:
-            col = np.array([float(f(lvl)) for lvl in levels])
-        cols.append(col)
-    matrix = np.stack(cols, axis=1)
+            vectorized = False
+        if vectorized:
+            matrix[:, k] = out
+        else:
+            matrix[:, k] = [float(f(lvl)) for lvl in levels]
     if not np.isfinite(matrix).all():
         bad = np.argwhere(~np.isfinite(matrix))[0]
         raise ValueError(

@@ -173,6 +173,16 @@ def solve_each(spec, scenarios, options, isolate: bool = False, retries: int = 0
         if first is not None
         else spec.batched_kernel == "multiclass-mvasd"
     )
+    if results:
+        # Nor do they carry the demands they used: take the solved
+        # scenarios' own, as the batched kernels report them (NaN rows
+        # for the failures).
+        source = "multiclass_demand_tensor" if trajectory else "multiclass_demand_matrix"
+        rows = {i: getattr(scenarios[i], source)(spec.name) for i in results}
+        used = np.full((len(scenarios), *next(iter(rows.values())).shape), np.nan)
+        for i, row in rows.items():
+            used[i] = row
+        fields["demands_used"] = used
     if not trajectory:
         return BatchedMultiClassResult.from_scalars(
             results, len(scenarios), failures,

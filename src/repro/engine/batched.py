@@ -41,6 +41,7 @@ in demands and think times.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Any, Mapping, Sequence
@@ -993,10 +994,16 @@ def _mvasd_levels(
 def _mvasd_levels_native(
     kernel, network, matrices, z, single_server, start, init_p, init_q, levels, hist, final_p
 ):
-    """:func:`_mvasd_levels_numpy` in one call of the compiled ``mvasd_recursion``.
+    """:func:`_mvasd_levels_numpy` through the compiled ``mvasd_recursion``.
 
     The C routine performs the same floating-point operations in the same
-    order, scenario by scenario (see ``_mvasd.c``).
+    order, scenario by scenario (see ``_mvasd.c``).  Its scenario loop is
+    outermost and the rows are independent, so the S rows are cut into
+    :func:`~repro.engine.native.kernel_threads` contiguous chunks, each
+    one call on row views of the inputs and outputs with its own work
+    arrays, run on parallel threads (cffi releases the GIL during the
+    call): the same bits as one call over all rows.  The levels solved
+    (``N - start``) measure the work.
     """
     s, n_levels, k = matrices.shape
     servers = network.servers().astype(float)
@@ -1004,22 +1011,53 @@ def _mvasd_levels_native(
     js = np.arange(1, n_levels + 1, dtype=float)
     # The per-job residence weights of _BatchedMultiServerState, per station.
     weights = js / np.minimum(js, servers[:, None])
+    matrices, z, init_p, init_q = (
+        np.ascontiguousarray(arr, dtype=float) for arr in (matrices, z, init_p, init_q)
+    )
+    c_max = 0 if hist is None else hist.shape[3]
     ffi = kernel.ffi
 
     def buf(arr):
-        return ffi.from_buffer("double[]", np.ascontiguousarray(arr, dtype=float))
+        return ffi.from_buffer("double[]", arr)
 
     def work(arr):
         return ffi.NULL if arr is None else ffi.from_buffer("double[]", arr, require_writable=True)
 
-    kernel.lib.mvasd_recursion(
-        s, n_levels, k, buf(matrices), buf(z), buf(servers),
-        ffi.from_buffer("int8_t[]", is_queue), int(bool(single_server)), buf(weights),
-        start, buf(init_p), buf(init_q),
-        work(np.zeros((k, n_levels + 1))), work(np.empty(k)), work(np.empty(k)),
-        *(work(arr) for arr in levels),
-        0 if hist is None else hist.shape[3], work(hist), work(final_p),
-    )
+    def rows(lo, hi):
+        part = slice(lo, hi)
+        kernel.lib.mvasd_recursion(
+            hi - lo, n_levels, k, buf(matrices[part]), buf(z[part]), buf(servers),
+            ffi.from_buffer("int8_t[]", is_queue), int(bool(single_server)), buf(weights),
+            start, buf(init_p[part]), buf(init_q[part]),
+            work(np.zeros((k, n_levels + 1))), work(np.empty(k)), work(np.empty(k)),
+            *(work(arr[part]) for arr in levels),
+            c_max, work(None if hist is None else hist[part]),
+            work(None if final_p is None else final_p[part]),
+        )
+
+    # Single-server rows cost O(K) a level, so their output writes bound
+    # the call and a split measured no faster; they keep one thread.
+    threads = 1 if single_server else native.kernel_threads(s, n_levels - start)
+    _run_row_chunks(rows, s, threads)
+
+
+def _run_row_chunks(rows, s: int, threads: int) -> None:
+    """Call ``rows(lo, hi)`` over ``threads`` contiguous chunks of ``0..s``.
+
+    Chunk 0 runs on the calling thread, the others on a pool whose
+    threads are joined before this returns, also when a chunk raises, so
+    no thread outlives the call.  The first exception in chunk order is
+    re-raised here.
+    """
+    if threads <= 1:
+        rows(0, s)
+        return
+    bounds = [s * i // threads for i in range(threads + 1)]
+    with ThreadPoolExecutor(threads - 1, thread_name_prefix="mvasd-rows") as pool:
+        futures = [pool.submit(rows, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        rows(bounds[0], bounds[1])
+        for future in futures:
+            future.result()
 
 
 def _mvasd_levels_numpy(

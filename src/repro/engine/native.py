@@ -21,6 +21,30 @@ and loaded once per process:
 
 Importing this module is cheap: cffi is imported, and the compiler run,
 only when a build is actually needed.
+
+The routine's scenario loop is outermost and its rows are independent,
+and cffi releases the GIL for the length of a call, so the caller can
+cut a large stack into contiguous row chunks and run one call per chunk
+on its own thread (:func:`repro.engine.batched._mvasd_levels_native`)
+with every output bit unchanged.  :func:`kernel_threads` says how many:
+
+* one per usable CPU (``os.sched_getaffinity`` where it exists,
+  ``os.cpu_count()`` elsewhere), but no more than one per
+  :data:`MIN_LEVELS_PER_THREAD` scenario-levels (rows times levels) and
+  never more than the rows, so small stacks and every ``S = 1`` solve
+  stay on the calling thread;
+* exactly one inside a :func:`repro.engine.sweep.parallel_map` worker
+  process, which marks itself with :func:`mark_fan_out_child`: the
+  fan-out already puts one process on each core.
+
+A fleet worker cannot see sibling workers on its host, so the rule
+assumes one ``repro worker`` per host; two local workers on two CPUs
+oversubscribe the cores, which measured no slower than the one-thread
+kernel (DESIGN.md §17, "Row split over threads").
+
+The threads are started per call and joined before it returns; no pool
+outlives a call, so the local fan-out still forks a single-threaded
+process.
 """
 
 from __future__ import annotations
@@ -33,7 +57,7 @@ import os
 import tempfile
 from pathlib import Path
 
-__all__ = ["mvasd_kernel"]
+__all__ = ["kernel_threads", "mark_fan_out_child", "mvasd_kernel", "usable_cpus"]
 
 _log = logging.getLogger(__name__)
 
@@ -54,8 +78,15 @@ void mvasd_recursion(int64_t s, int64_t n_levels, int64_t k,
 #: order: no fused multiply-add (and no -ffast-math or -march=native).
 CFLAGS = ("-O3", "-ffp-contract=off")
 
+#: Least work, in scenario-levels (rows times population levels), worth a
+#: kernel thread of its own: 64 rows at N = 300, the measured break-even
+#: of a two-thread split against one call on a 2-vCPU host.
+MIN_LEVELS_PER_THREAD = 64 * 300
+
 _UNLOADED = object()
 _kernel = _UNLOADED
+#: Set in a fan-out worker process; its kernel calls keep one thread.
+_fan_out_child = False
 
 
 def _cache_dir() -> Path:
@@ -144,3 +175,33 @@ def mvasd_kernel():
             )
             _kernel = None
     return _kernel
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def mark_fan_out_child() -> None:
+    """Keep this process's kernel calls on one thread.
+
+    Called by each :func:`repro.engine.sweep.parallel_map` worker: its
+    sibling workers already occupy the other cores, so splitting its
+    rows would only make the processes contend.
+    """
+    global _fan_out_child
+    _fan_out_child = True
+
+
+def kernel_threads(rows: int, levels: int) -> int:
+    """How many threads one kernel call over ``rows`` scenarios of ``levels`` should use.
+
+    ``min(usable CPUs, rows, rows * levels // MIN_LEVELS_PER_THREAD)``, at
+    least 1; always 1 in a fan-out worker process.
+    """
+    if _fan_out_child:
+        return 1
+    return max(1, min(usable_cpus(), rows, rows * levels // MIN_LEVELS_PER_THREAD))

@@ -61,6 +61,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import native
 from ..simulation.rng import spawn_seeds
 
 __all__ = ["ScenarioGrid", "parallel_map", "resolve_workers", "spawn_seeds"]
@@ -92,11 +93,16 @@ class _SpooledResult:
 def _invoke(fn: Callable, item: Any, spool: str | None):
     """Worker-side trampoline: re-attach the fork-inherited payload.
 
+    The worker's compiled-kernel calls keep one thread
+    (:func:`~repro.engine.native.mark_fan_out_child`): its siblings
+    already occupy the other cores.
+
     A result holding out-of-band buffers is written to a file in
     ``spool``; the pipe then carries only the pickled rest of it and the
     file's name.  A result without such buffers (or one the spool cannot
     take) goes back through the pipe whole.
     """
+    native.mark_fan_out_child()
     result = fn(item, _PAYLOAD)
     if spool is None:
         return result

@@ -85,6 +85,22 @@ def _hash_floats(h, values) -> None:
     h.update(_canonical_float_array(values).tobytes())
 
 
+#: The canonical quiet NaN's bytes, as :func:`_canonical_float_array` writes it.
+_CANONICAL_NAN = np.float64("nan").tobytes()
+
+
+def _float_bytes(*values) -> bytes:
+    """The bytes :func:`_hash_floats` hashes for these scalars, without NumPy.
+
+    Native-order float64, ``-0.0`` folded onto ``+0.0`` and every NaN
+    onto the canonical one, so a header built from these hashes exactly
+    like one ``_hash_floats`` call per scalar.
+    """
+    return b"".join(
+        _CANONICAL_NAN if v != v else struct.pack("=d", v + 0.0) for v in map(float, values)
+    )
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     """Mark ``arr`` read-only (views of read-only bases already are)."""
     if arr.flags.writeable:
@@ -188,12 +204,15 @@ class WorkloadClass:
         over every total-population level ``1..max_population`` — exactly
         the values a mix-sweep solver can observe.
         """
-        h = hashlib.sha256()
-        h.update(_FINGERPRINT_VERSION)
-        h.update(b"workload-class\x00")
-        h.update(self.name.encode("utf-8"))
-        h.update(struct.pack("<q", int(self.population)))
-        _hash_floats(h, [self.think_time])
+        h = hashlib.sha256(
+            b"".join((
+                _FINGERPRINT_VERSION,
+                b"workload-class\x00",
+                self.name.encode("utf-8"),
+                struct.pack("<q", int(self.population)),
+                _float_bytes(self.think_time),
+            ))
+        )
         if self.has_varying_demands:
             levels = np.stack(
                 [
@@ -562,17 +581,18 @@ class Scenario:
         cached = self.__dict__.get("_fingerprint")
         if cached is not None:
             return cached
-        h = hashlib.sha256()
-        h.update(_FINGERPRINT_VERSION)
+        # The topology header is packed into one buffer: one hash update
+        # instead of one per field, over the same bytes.
+        header = [_FINGERPRINT_VERSION]
         for st in self.network.stations:
-            h.update(st.name.encode("utf-8"))
-            h.update(b"\x00")
-            h.update(st.kind.encode("utf-8"))
-            h.update(b"\x00")
-            h.update(struct.pack("<q", int(st.servers)))
-            _hash_floats(h, [st.visits])
-        h.update(struct.pack("<q", self.max_population))
-        _hash_floats(h, [self.think, self.demand_level])
+            header += (
+                st.name.encode("utf-8"), b"\x00", st.kind.encode("utf-8"), b"\x00",
+                struct.pack("<q", int(st.servers)), _float_bytes(st.visits),
+            )
+        header += (
+            struct.pack("<q", self.max_population), _float_bytes(self.think, self.demand_level)
+        )
+        h = hashlib.sha256(b"".join(header))
         if self.is_multiclass:
             h.update(b"classes\x00")
             for c in self.classes:

@@ -21,6 +21,7 @@ from repro.solvers import (
     Scenario,
     SolverCache,
     SolverCapabilityError,
+    WorkloadClass,
     get_solver,
     list_solvers,
     solve,
@@ -264,9 +265,50 @@ KERNEL_METHODS_BY_KIND = {
     "constant": BATCHED_METHODS,
     "multiserver": [m for m in BATCHED_METHODS if get_solver(m).multiserver],
     "varying": [m for m in BATCHED_METHODS if get_solver(m).multiserver],
+    "multiclass": [
+        s.name for s in list_solvers() if s.batched_kernel and s.multiclass
+    ],
 }
 
 TRAJECTORY = ("throughput", "response_time", "queue_lengths", "utilizations")
+
+
+@st.composite
+def multiclass_stacks(draw, method):
+    """A small random multi-class stack on single-server/delay stations."""
+    names = [f"s{i}" for i in range(draw(st.integers(min_value=1, max_value=3)))]
+    kinds = [draw(st.sampled_from(["queue", "queue", "delay"])) for _ in names]
+    net = ClosedNetwork(
+        [Station(n, demand=0.01, kind=kd) for n, kd in zip(names, kinds)], think_time=1.0
+    )
+    demand = st.floats(min_value=0.005, max_value=0.1)
+    bases = [
+        [draw(demand) for _ in names] for _ in range(draw(st.integers(min_value=1, max_value=2)))
+    ]
+    # The mix sweep takes demand curves of the total population; the
+    # exact lattice freezes demands at one level.
+    slope = draw(st.floats(min_value=0.0, max_value=0.01)) if method == "multiclass-mvasd" else 0.0
+    population = draw(st.integers(min_value=2, max_value=6))
+    scales = draw(st.lists(st.floats(min_value=0.5, max_value=1.5), min_size=2, max_size=5))
+    return [
+        Scenario(
+            net,
+            population,
+            classes=tuple(
+                WorkloadClass(
+                    f"c{ci}",
+                    1 + ci,
+                    {
+                        n: (lambda t, d=d * sc, m=slope: d * (1.0 + m * t)) if slope else d * sc
+                        for n, d in zip(names, base)
+                    },
+                    think_time=0.5 + ci,
+                )
+                for ci, base in enumerate(bases)
+            ),
+        )
+        for sc in scales
+    ]
 
 
 @st.composite
@@ -274,6 +316,8 @@ def local_stacks(draw):
     """``(method, stack)``: a small random stack and a kernel method for it."""
     kind = draw(st.sampled_from(sorted(KERNEL_METHODS_BY_KIND)))
     method = draw(st.sampled_from(KERNEL_METHODS_BY_KIND[kind]))
+    if kind == "multiclass":
+        return method, draw(multiclass_stacks(method))
     stations = []
     for i in range(draw(st.integers(min_value=1, max_value=3))):
         demand = draw(st.floats(min_value=0.005, max_value=0.1))
@@ -297,8 +341,12 @@ def local_stacks(draw):
 
 
 def _assert_rows_equal(got, want, rows):
-    for name in TRAJECTORY:
-        np.testing.assert_array_equal(getattr(got, name)[rows], getattr(want, name)[rows])
+    """The trajectories of ``rows`` agree bit for bit, and so do the demands used."""
+    for name in (*TRAJECTORY, "demands_used"):
+        if name in want.LAYOUT:
+            np.testing.assert_array_equal(
+                getattr(got, name)[rows], getattr(want, name)[rows], err_msg=name
+            )
 
 
 def _persistent_poison(scenario: int) -> FaultPlan:

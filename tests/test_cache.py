@@ -85,6 +85,16 @@ class TestFingerprint:
         b = Scenario(net, 20, demand_matrix=m_poszero)
         assert a.fingerprint() == b.fingerprint()
 
+    def test_negative_zero_header_scalars_are_canonical(self, net):
+        # Think times (scenario and class) hash through the packed header.
+        assert (
+            Scenario(net, 20, think_time=-0.0).fingerprint()
+            == Scenario(net, 20, think_time=0.0).fingerprint()
+        )
+        cls = [WorkloadClass("a", 2, {"web": 0.02, "db": 0.05}, think_time=z) for z in (-0.0, 0.0)]
+        a, b = (Scenario(net, 4, classes=(c,)) for c in cls)
+        assert a.fingerprint() == b.fingerprint()
+
     def test_matrix_and_equivalent_functions_agree_or_split_safely(self, net):
         # A demand-functions scenario and the matrix of its integer-grid
         # samples are observably identical to every registered solver.

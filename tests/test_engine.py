@@ -218,6 +218,19 @@ class TestPrecomputeDemandMatrix:
         with pytest.raises(ValueError, match="negative"):
             precompute_demand_matrix([lambda n: 0.1 - 0.05 * n], 10)
 
+    def test_shared_level_grid_cannot_be_corrupted(self):
+        # Every call over 1..N shares one read-only grid: a curve that
+        # writes to its input falls back to per-level calls, and the
+        # next call still sees 1..N.
+        def scales_in_place(levels):
+            levels *= 2.0
+            return levels
+
+        matrix = precompute_demand_matrix([scales_in_place], 12)
+        np.testing.assert_array_equal(matrix[:, 0], 2.0 * np.arange(1, 13))
+        identity = precompute_demand_matrix([lambda n: n], 12)
+        np.testing.assert_array_equal(identity[:, 0], np.arange(1, 13))
+
     def test_explicit_levels(self):
         matrix = precompute_demand_matrix(
             [np.sqrt], 0, levels=np.array([1.0, 4.0, 9.0])

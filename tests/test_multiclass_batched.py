@@ -258,6 +258,8 @@ class TestFacadeRouting:
         np.testing.assert_allclose(
             batched.throughput, serial.throughput, atol=1e-10
         )
+        # The serial loop reports the demands it used, as the kernel does.
+        np.testing.assert_array_equal(serial.demands_used, batched.demands_used)
         np.testing.assert_allclose(
             sharded.throughput, serial.throughput, atol=1e-10
         )
